@@ -347,9 +347,14 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
 
 def fit_with_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
                          seed: int = 0, **kwargs) -> RiseTimeFit:
-    """Convenience composition: direct fit plus Monte-Carlo tau uncertainty."""
+    """Convenience composition: direct fit plus Monte-Carlo tau uncertainty.
+
+    The refits use the direct fit's window, so a custom ``window`` applies
+    to both.
+    """
     fit = fit_rise_time(trace, **kwargs)
-    u_tau = monte_carlo_uncertainty(trace, resamples=resamples, seed=seed)
+    u_tau = monte_carlo_uncertainty(trace, resamples=resamples, seed=seed,
+                                    window=fit.fit_window)
     return RiseTimeFit(tau=fit.tau, sigma_init=fit.sigma_init,
                        sigma_ss_fit=fit.sigma_ss_fit, fit_window=fit.fit_window,
                        residual_rms=fit.residual_rms,

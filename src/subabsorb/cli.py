@@ -6,9 +6,12 @@
     subabsorb fit <trace.csv> [--lifetime-ns T] [--resamples N] [--seed S]
                   [--out FILE]
 
-Exit codes: 0 success, 2 fit failure, 3 config error.  The SUBABSORB_OUT
-environment variable overrides the default output directory (an explicit
---out still wins).
+Exit codes: 0 success, 2 fit failure, 3 config error, 4 model error (a
+drive above the perturbative budget, an infeasible packing density or a
+value outside the model's domain).  A sweep that fails still writes its
+completed rows and a sweep_meta.json with complete=false and the error.
+The SUBABSORB_OUT environment variable overrides the default output
+directory (an explicit --out still wins).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .maxwell_bloch import TransmissionTrace
 EXIT_OK = 0
 EXIT_FIT = 2
 EXIT_CONFIG = 3
+EXIT_MODEL = 4
 
 
 def _build_parser():
@@ -110,6 +114,8 @@ def cmd_list() -> int:
 
 def cmd_fit(args) -> int:
     species = AtomicSpecies(excited_lifetime_ns=args.lifetime_ns)
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ConfigError(f"directory of --out {args.out} does not exist")
     trace = _read_trace_csv(args.trace, args.lifetime_ns)
     fit = analysis.fit_with_uncertainty(trace, resamples=args.resamples, seed=args.seed)
     record = {
@@ -141,9 +147,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (analysis.FitError, analysis.DegenerateTraceError) as exc:
+    except recipes.FIT_ERRORS as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
+    except recipes.MODEL_ERRORS as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     return EXIT_OK
 
 

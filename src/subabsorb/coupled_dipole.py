@@ -10,7 +10,12 @@ symmetric; the closed-form step response
 
     c(t) = (I - exp(-H t)) H^{-1} b
 
-is evaluated through one eigendecomposition per realization.
+follows from the eigendecomposition H = Q diag(lambda) Q^T.  Writing
+H(S) = I/2 + S*G, the matrix G does not depend on the dephasing, so one
+eigendecomposition of H0 = H(1) per realization serves every gamma_DD:
+the eigenvectors are shared and lambda(S) = 1/2 + S*(lambda0 - 1/2).  With
+Q real, the readout P(t), its steady state and sum |c_j|^2 need only
+lambda0 and the weights w_j = |(Q^T e^{ikz})_j|^2 (see RealizationSpectrum).
 """
 
 from __future__ import annotations
@@ -93,14 +98,22 @@ def sample_positions(config: EnsembleConfig, seed: int) -> EnsembleRealization:
 
     Deterministic for a given seed.  Points are inserted sequentially; a
     candidate closer than min_pair_separation to any accepted point is
-    redrawn.  More than MAX_REJECTIONS consecutive rejections aborts.
+    redrawn.  A packing that exceeds the volume bound fails at once; more
+    than MAX_REJECTIONS consecutive rejections aborts.
     """
     n = config.atom_count
     if n < 1:
         raise DomainError("sampling requires at least one atom")
+    r_min = config.min_pair_separation
+    # balls of radius r_min/2 around the atoms are disjoint and lie inside
+    # the box grown by r_min/2 on every side: more volume than that is
+    # provably impossible, whatever the rejection loop would do
+    if n * (math.pi / 6.0) * r_min**3 > math.prod(a + r_min for a in config.box):
+        raise DensityTooHighError(
+            f"{n} atoms with pair exclusion {r_min:g} cannot fit in box {config.box}")
     rng = np.random.default_rng(seed)
     box = np.asarray(config.box)
-    r_min2 = config.min_pair_separation**2
+    r_min2 = r_min**2
     pts = np.empty((n, 3))
     count = 0
     rejections = 0
@@ -164,17 +177,18 @@ def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.
                           polarization=X_HAT) -> CouplingMatrix:
     """Assemble H: diagonal 1/2, off-diagonals i*S(gamma_DD)*F_jk.
 
-    The suppression applies to the exchange only; the diagonal decay is
+    F is purely imaginary, so H is returned as a real float64 matrix.  The
+    suppression applies to the exchange only; the diagonal decay is
     single-atom physics.
     """
     pos = realization.positions
     n = len(pos)
-    h = np.zeros((n, n), dtype=complex)
+    h = np.zeros((n, n))
     if n > 1:
         iu = np.triu_indices(n, 1)
         r_vec = pos[iu[0]] - pos[iu[1]]
         f = coupling_f(r_vec, polarization=polarization, mode=mode)
-        vals = 1j * suppression_factor(gamma_dd) * f
+        vals = suppression_factor(gamma_dd) * (1j * f).real
         h[iu] = vals
         h[(iu[1], iu[0])] = vals          # F_jk = F_kj
     np.fill_diagonal(h, 0.5)
@@ -294,21 +308,95 @@ def dipole_trace(state: AmplitudeState, realization: EnsembleRealization,
                        steady_state_raw=steady)
 
 
+@dataclass(frozen=True)
+class RealizationSpectrum:
+    """Dephasing-independent spectrum of one realization.
+
+    lambda0 are the eigenvalues of H0 = H(gamma_DD = 0), and weights are
+    w_j = |(Q^T e^{ikz})_j|^2 over its real eigenvectors Q.  Q itself is
+    not kept: the readout at any suppression S needs only these.
+    """
+
+    realization: EnsembleRealization
+    lambda0: np.ndarray
+    weights: np.ndarray
+
+
+def realization_spectrum(config: EnsembleConfig, seed: int,
+                         mode: str = "vectorial") -> RealizationSpectrum:
+    """Sample one realization and diagonalize its undephased H0 once."""
+    realization = sample_positions(config, seed)
+    h0 = build_coupling_matrix(realization, gamma_dd=0.0, mode=mode).matrix
+    lam0, q = np.linalg.eigh(h0)
+    kz = K_A * realization.positions[:, 2]
+    proj = q.T @ np.stack([np.cos(kz), np.sin(kz)], axis=1)
+    weights = proj[:, 0] ** 2 + proj[:, 1] ** 2
+    return RealizationSpectrum(realization=realization, lambda0=lam0, weights=weights)
+
+
+def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude: float,
+                   t_points: np.ndarray) -> DipoleTrace | None:
+    """P(t) at one suppression S from the shared spectrum, in O(T*N).
+
+    With phi_j(t) = (1 - e^{-lambda_j t})/lambda_j and
+    lambda = 1/2 + S*(lambda0 - 1/2):
+    raw P(t) = Omega0 |sum_j w_j phi_j(t)|, steady state Omega0 |sum_j w_j/lambda_j|
+    and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  Returns None when the
+    spectrum is not positive and well conditioned, so the caller can fall
+    back to the amplitude path.
+    """
+    lam0 = spectrum.lambda0
+    # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
+    lam = lam0 if suppression == 1.0 else 0.5 + suppression * (lam0 - 0.5)
+    if not (lam[0] > 0 and lam[-1] / lam[0] < COND_LIMIT):
+        return None
+    amp = abs(amplitude)
+    w = spectrum.weights
+    # expm1 keeps small-lambda (deeply subradiant) modes accurate
+    phi = -np.expm1(-np.outer(t_points, lam)) / lam[None, :]
+    peak = float(np.max(amp**2 * ((phi * phi) @ w)))
+    if peak > NORM_BUDGET:
+        raise PerturbativeBoundError(
+            f"sum |c_j|^2 reached {peak:.3g} > {NORM_BUDGET}; weaken the drive")
+    raw = amp * np.abs(phi @ w)
+    steady = float(amp * abs(np.sum(w / lam)))
+    if steady < 1e-15 * spectrum.realization.atom_count * amp:
+        raise DomainError("steady-state dipole too small to normalize against")
+    return DipoleTrace(t_points=t_points, p_normalized=raw / steady,
+                       steady_state_raw=steady)
+
+
 def run_realization(config: EnsembleConfig, seed: int,
                     species: AtomicSpecies = AtomicSpecies(),
                     pulse: PulseShape | None = None, mode: str = "vectorial",
                     t_max: float = DEFAULT_T_MAX,
-                    t_samples: int = DEFAULT_T_SAMPLES) -> tuple[DipoleTrace, EnsembleRealization]:
-    """One disorder realization: sample, build, evolve, reduce to P(t)."""
+                    t_samples: int = DEFAULT_T_SAMPLES,
+                    spectra: dict | None = None) -> tuple[DipoleTrace, EnsembleRealization]:
+    """One disorder realization: sample, diagonalize, reduce to P(t).
+
+    ``spectra`` is an optional cache of RealizationSpectrum keyed by the
+    geometry (seed, box, atom_count, min_pair_separation, mode); a sweep
+    over the dephasing coefficient passes the same dict for every value so
+    each geometry is sampled and diagonalized once.  A spectrum that is
+    not positive or too ill conditioned falls back to evolve_closed_form.
+    """
     if pulse is None:
         pulse = PulseShape(kind="step")
-    realization = sample_positions(config, seed)
-    coupling = build_coupling_matrix(realization, gamma_dd=config.gamma_dd(species),
-                                     mode=mode)
-    omega_vec = drive_vector(realization.positions, pulse.amplitude)
+    spectra = {} if spectra is None else spectra
+    key = (seed, config.box, config.atom_count, config.min_pair_separation, mode)
+    if key not in spectra:
+        spectra[key] = realization_spectrum(config, seed, mode=mode)
+    spectrum = spectra[key]
+    realization = spectrum.realization
+    gamma_dd = config.gamma_dd(species)
     t_points = np.linspace(0.0, t_max, t_samples)
-    state = evolve_closed_form(coupling, omega_vec, t_points)
-    trace = dipole_trace(state, realization, coupling=coupling, omega_vec=omega_vec)
+    trace = spectral_trace(spectrum, suppression_factor(gamma_dd), pulse.amplitude,
+                           t_points)
+    if trace is None:
+        coupling = build_coupling_matrix(realization, gamma_dd=gamma_dd, mode=mode)
+        omega_vec = drive_vector(realization.positions, pulse.amplitude)
+        state = evolve_closed_form(coupling, omega_vec, t_points)
+        trace = dipole_trace(state, realization, coupling=coupling, omega_vec=omega_vec)
     return trace, realization
 
 
@@ -327,19 +415,22 @@ class EnsembleResult:
 def run_ensemble(config: EnsembleConfig, species: AtomicSpecies = AtomicSpecies(),
                  pulse: PulseShape | None = None, mode: str = "vectorial",
                  t_max: float = DEFAULT_T_MAX,
-                 t_samples: int = DEFAULT_T_SAMPLES) -> EnsembleResult:
+                 t_samples: int = DEFAULT_T_SAMPLES,
+                 spectra: dict | None = None) -> EnsembleResult:
     """Average P(t) over realization_count independent realizations.
 
     Seeds are rng_seed + 0 .. rng_seed + (M-1); the average runs in fixed
     index order so results do not depend on execution interleaving.  Any
-    failed realization aborts the batch.
+    failed realization aborts the batch.  ``spectra`` is passed on to
+    run_realization (a cache shared across a dephasing family).
     """
     seeds = tuple(config.rng_seed + i for i in range(config.realization_count))
     traces = []
     realizations = []
     for s in seeds:
         trace, realization = run_realization(config, s, species=species, pulse=pulse,
-                                             mode=mode, t_max=t_max, t_samples=t_samples)
+                                             mode=mode, t_max=t_max, t_samples=t_samples,
+                                             spectra=spectra)
         traces.append(trace)
         realizations.append(realization)
     stack = np.stack([tr.p_normalized for tr in traces])

@@ -21,9 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, coupled_dipole, maxwell_bloch
-from .core import (AtomicSpecies, ConfigError, EnsembleConfig, PulseShape,
-                   box_side_for_sigma_ss, ensemble_from_dict, load_config_dict,
-                   optical_depth_from_geometry, pulse_from_dict, species_from_dict)
+from .core import (AtomicSpecies, ConfigError, DomainError, EnsembleConfig,
+                   PulseShape, box_side_for_sigma_ss, ensemble_from_dict,
+                   load_config_dict, optical_depth_from_geometry, pulse_from_dict,
+                   species_from_dict)
 
 MODELS = ("maxwell_bloch", "coupled_dipole")
 SWEPT_PARAMETERS = ("sigma_ss", "box_side", "beta", "detuning")
@@ -33,6 +34,12 @@ BETA_SET = (0.0, 9e-7, 2.8e-6, 9e-6, 2.8e-5, 9e-5)
 BEST_BETA = 4.9e-5
 
 DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
+
+#: failures that end a sweep early; the completed rows are still written
+FIT_ERRORS = (analysis.FitError, analysis.DegenerateTraceError)
+MODEL_ERRORS = (coupled_dipole.PerturbativeBoundError,
+                coupled_dipole.DensityTooHighError, DomainError)
+SWEEP_ERRORS = FIT_ERRORS + MODEL_ERRORS + (ConfigError,)
 
 
 @dataclass(frozen=True)
@@ -276,12 +283,13 @@ def _cd_point(recipe: ExperimentRecipe, value: float, index: int, base_seed: int
 
 
 def _beta_points(recipe: ExperimentRecipe, beta: float, base_seed: int,
-                 realizations: int):
+                 realizations: int, spectra: dict):
     """Inner optical-depth grid at one dephasing coefficient.
 
     Seeds depend on the grid index only, so every beta value sees the same
     disorder realizations and the suppression trend is not confounded by
-    configuration noise.
+    configuration noise.  ``spectra`` is shared by every beta of the sweep,
+    so each realization is sampled and diagonalized once.
     """
     od_grid = recipe.od_grid or DEFAULT_OD_GRID
     rows = []
@@ -293,7 +301,8 @@ def _beta_points(recipe: ExperimentRecipe, beta: float, base_seed: int,
                          beta_over_2pi_hz_cm3=beta)
         sigma_ss = optical_depth_from_geometry(config).sigma_ss
         result = coupled_dipole.run_ensemble(config, species=recipe.species,
-                                             pulse=recipe.pulse, mode=recipe.mode)
+                                             pulse=recipe.pulse, mode=recipe.mode,
+                                             spectra=spectra)
         taus = np.asarray([
             analysis.fit_rise_time(analysis.trace_from_dipole(tr, sigma_ss)).tau
             for tr in result.traces])
@@ -346,14 +355,17 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
 
     Fully deterministic for fixed seeds; sweep points may execute on a
     bounded worker pool, and results are assembled in sweep order regardless
-    of completion order.  A fit failure aborts the sweep with the completed
-    rows flushed and the provenance marked incomplete.
+    of completion order.  A fit, model or config failure (SWEEP_ERRORS)
+    aborts the sweep with the completed rows flushed, the provenance marked
+    incomplete and an ``error`` record; fit failures are re-raised as
+    FitError, the others as their own type.
     """
     base_seed = recipe.ensemble.rng_seed if seed is None else int(seed)
     n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)
     out_dir = str(out_dir)
     run_dir = os.path.join(out_dir, recipe.name)
     os.makedirs(run_dir, exist_ok=True)
+    spectra: dict = {}      # realization spectra shared across a beta family
 
     def point(index_value):
         index, value = index_value
@@ -361,13 +373,12 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
             row, artifacts = _mb_point(recipe, value, base_seed)
             return [row], artifacts
         if recipe.swept_parameter == "beta":
-            return _beta_points(recipe, value, base_seed, n_real), None
+            return _beta_points(recipe, value, base_seed, n_real, spectra), None
         row, artifacts = _cd_point(recipe, value, index, base_seed, n_real)
         return [row], artifacts
 
     jobs = list(enumerate(recipe.sweep_values))
     rows: list[SweepRow] = []
-    complete = True
     error: Exception | None = None
     results: list = [None] * len(jobs)
     if threads > 1:
@@ -376,18 +387,17 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
             for i, fut in enumerate(futures):
                 try:
                     results[i] = fut.result()
-                except (analysis.FitError, analysis.DegenerateTraceError) as exc:
-                    complete = False
+                except SWEEP_ERRORS as exc:
                     error = exc
                     break
     else:
         for i, job in enumerate(jobs):
             try:
                 results[i] = point(job)
-            except (analysis.FitError, analysis.DegenerateTraceError) as exc:
-                complete = False
+            except SWEEP_ERRORS as exc:
                 error = exc
                 break
+    complete = error is None
 
     for index, res in enumerate(results):
         if res is None:
@@ -409,6 +419,8 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
         "complete": complete,
         "config": recipe.to_dict(),
     }
+    if error is not None:
+        provenance["error"] = {"type": type(error).__name__, "message": str(error)}
     _write_csv(os.path.join(run_dir, "sweep.csv"),
                ["swept_value", "sigma_ss", "tau_over_2tau_a", "tau_err_over_2tau_a",
                 "seed"],
@@ -422,7 +434,8 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     result = SweepResult(recipe=recipe, rows=rows, provenance=provenance,
                          complete=complete)
     if error is not None:
-        raise analysis.FitError(
-            f"sweep {recipe.name} aborted at a fit failure; partial results in "
-            f"{run_dir}") from error
+        message = f"sweep {recipe.name} aborted: {error}; partial results in {run_dir}"
+        if isinstance(error, FIT_ERRORS):
+            raise analysis.FitError(message) from error
+        raise type(error)(message) from error
     return result

@@ -219,6 +219,16 @@ class TestMonteCarloUncertainty:
         assert fit.tau_uncertainty is not None and fit.tau_uncertainty > 0
         assert abs(fit.tau - 2.0) < 3.0 * fit.tau_uncertainty
 
+    def test_custom_window_reaches_the_uncertainty(self):
+        trace = self._noisy_trace(seed=4)
+        window = (2.0, 7.0)
+        fit = fit_with_uncertainty(trace, resamples=300, seed=6, window=window)
+        direct = monte_carlo_uncertainty(trace, resamples=300, seed=6, window=window)
+        default = monte_carlo_uncertainty(trace, resamples=300, seed=6)
+        assert fit.fit_window == window
+        assert fit.tau_uncertainty == direct
+        assert direct != default
+
     def test_batch_rows_match_single_row_fits(self):
         # MC-style perturbations converge after different numbers of
         # iterations; dropping converged rows from later iterations must

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from subabsorb.core import DomainError, EnsembleConfig, PulseShape
+from subabsorb import coupled_dipole
+from subabsorb.core import AtomicSpecies, DomainError, EnsembleConfig, PulseShape
 from subabsorb.coupled_dipole import (DensityTooHighError, PerturbativeBoundError,
                                       build_coupling_matrix, coupling_f,
                                       dipole_trace, drive_vector, evolve_closed_form,
                                       rk4_amplitudes, run_ensemble, run_realization,
                                       sample_positions, suppression_factor)
+from subabsorb.recipes import BETA_SET
 
 STEP = PulseShape(kind="step")
 
@@ -97,6 +100,15 @@ class TestSampler:
         assert np.min(dist[iu]) >= 0.05
         assert r.min_pair_distance >= 0.05
         assert np.all(r.positions >= 0) and np.all(r.positions <= 12.0)
+
+    def test_dense_feasible_packing_passes_the_bound(self):
+        # exclusion balls fill a third of the box, near the jamming limit of
+        # sequential random insertion; the volume bound must not reject it
+        cfg = EnsembleConfig(atom_count=80, box=(1.0, 1.0, 1.0),
+                             min_pair_separation=0.2)
+        r = sample_positions(cfg, seed=3)
+        assert r.atom_count == 80
+        assert r.min_pair_distance >= 0.2
 
     def test_impossible_density_raises(self):
         cfg = EnsembleConfig(atom_count=80, box=(1.0, 1.0, 1.0),
@@ -285,3 +297,68 @@ class TestEnsembleAveraging:
         excess = taus.mean() - 2.0
         stderr = taus.std(ddof=1) / math.sqrt(len(taus))
         assert excess > stderr
+
+
+class TestSharedSpectrum:
+    """run_realization reads P(t) from one spectrum per geometry."""
+
+    CFG = EnsembleConfig(atom_count=60, box=(3.0, 3.0, 3.0))
+
+    @staticmethod
+    def amplitude_path(cfg, seed, pulse=STEP):
+        r = sample_positions(cfg, seed)
+        coupling = build_coupling_matrix(r, gamma_dd=cfg.gamma_dd(AtomicSpecies()))
+        omega = drive_vector(r.positions, pulse.amplitude)
+        state = evolve_closed_form(coupling, omega, np.linspace(0.0, 8.0, 161))
+        return dipole_trace(state, r, coupling=coupling, omega_vec=omega)
+
+    def test_matches_amplitude_path_for_every_beta(self):
+        spectra = {}
+        suppressions = []
+        for beta in BETA_SET:
+            cfg = replace(self.CFG, beta_over_2pi_hz_cm3=beta)
+            suppressions.append(suppression_factor(cfg.gamma_dd(AtomicSpecies())))
+            trace, _ = run_realization(cfg, seed=8, pulse=STEP, spectra=spectra)
+            ref = self.amplitude_path(cfg, 8)
+            np.testing.assert_allclose(trace.p_normalized, ref.p_normalized,
+                                       rtol=0, atol=1e-13)
+            assert trace.steady_state_raw == pytest.approx(ref.steady_state_raw,
+                                                           rel=1e-13)
+        assert len(spectra) == 1
+        # the family spans undamped to almost fully suppressed couplings
+        assert suppressions[0] == 1.0 and suppressions[-1] < 1e-3
+
+    def test_cached_spectrum_gives_identical_trace(self):
+        spectra = {}
+        first, _ = run_realization(self.CFG, seed=8, pulse=STEP, spectra=spectra)
+        again, _ = run_realization(self.CFG, seed=8, pulse=STEP, spectra=spectra)
+        alone, _ = run_realization(self.CFG, seed=8, pulse=STEP)
+        assert np.array_equal(first.p_normalized, again.p_normalized)
+        assert np.array_equal(first.p_normalized, alone.p_normalized)
+
+    def test_norm_guard_on_shared_path(self, monkeypatch):
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("the amplitude path ran")
+
+        monkeypatch.setattr(coupled_dipole, "evolve_closed_form", no_fallback)
+        strong = PulseShape(kind="step", amplitude=0.05)
+        with pytest.raises(PerturbativeBoundError):
+            run_realization(self.CFG, seed=8, pulse=strong, spectra={})
+
+    def test_ill_conditioned_spectrum_falls_back(self, monkeypatch):
+        shared, _ = run_realization(self.CFG, seed=8, pulse=STEP)
+        calls = []
+        original = coupled_dipole.evolve_closed_form
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coupled_dipole, "evolve_closed_form", counting)
+        # a conditioning limit of 1 rejects every spectrum, so the amplitude
+        # path runs (and itself falls back to RK4)
+        monkeypatch.setattr(coupled_dipole, "COND_LIMIT", 1.0)
+        fallback, _ = run_realization(self.CFG, seed=8, pulse=STEP)
+        assert calls == [1]
+        np.testing.assert_allclose(fallback.p_normalized, shared.p_normalized,
+                                   rtol=0, atol=1e-6)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from subabsorb import cli
+from subabsorb import analysis, cli, coupled_dipole
 from subabsorb.core import ConfigError, EnsembleConfig, PulseShape
 from subabsorb.recipes import (ExperimentRecipe, get_recipe, load_recipe,
                                recipe_catalog, recipe_from_dict, run_recipe)
@@ -151,6 +151,25 @@ class TestRunRecipe:
         ods = [round(r.sigma_ss, 6) for r in by_beta[0.0]]
         assert ods == [0.1, 0.4]
 
+    def test_beta_sweep_samples_each_realization_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = coupled_dipole.sample_positions
+
+        def counting(config, seed):
+            calls.append((config.box, seed))
+            return original(config, seed)
+
+        monkeypatch.setattr(coupled_dipole, "sample_positions", counting)
+        recipe = ExperimentRecipe(
+            name="beta3", model="coupled_dipole", swept_parameter="beta",
+            sweep_values=(0.0, 9e-6, 9e-5), od_grid=(0.1, 0.4), pulse=STEP,
+            ensemble=EnsembleConfig(atom_count=50, rng_seed=5, realization_count=2))
+        result = run_recipe(recipe, tmp_path)
+        assert len(result.rows) == 6
+        # 2 optical depths x 2 realizations, shared by all three beta
+        assert len(calls) == 4
+        assert len(set(calls)) == 4
+
 
 class TestCli:
     def test_list(self, capsys):
@@ -182,6 +201,49 @@ class TestCli:
         path.write_text("{]")
         assert cli.main(["run", str(path)]) == 3
         assert cli.main(["run", "no_such_recipe"]) == 3
+
+    def test_model_error_exit_code_keeps_completed_rows(self, tmp_path):
+        # the second cube cannot hold 40 atoms 0.05 lambda apart
+        cfg = {"name": "cd_dense", "model": "coupled_dipole",
+               "swept_parameter": "box_side", "sweep_values": [14.0, 0.06],
+               "pulse": {"kind": "step"},
+               "ensemble": {"atom_count": 40, "rng_seed": 3, "realization_count": 2}}
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == \
+            cli.EXIT_MODEL
+        run_dir = tmp_path / "runs" / "cd_dense"
+        rows = (run_dir / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("14,")
+        meta = json.loads((run_dir / "sweep_meta.json").read_text())
+        assert meta["complete"] is False
+        assert meta["error"]["type"] == "DensityTooHighError"
+
+    def test_strong_drive_exit_code(self, tmp_path):
+        # 20 atoms at 0.05 Gamma_a: sum |c_j|^2 ~ 4 N Omega^2 = 0.2 > NORM_BUDGET
+        cfg = {"name": "cd_strong", "model": "coupled_dipole",
+               "swept_parameter": "sigma_ss", "sweep_values": [0.5],
+               "pulse": {"kind": "step", "rabi_peak_rad_per_s": 0.05 / 26.2e-9},
+               "ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1}}
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == \
+            cli.EXIT_MODEL
+        meta = json.loads((tmp_path / "runs" / "cd_strong" / "sweep_meta.json")
+                          .read_text())
+        assert meta["complete"] is False
+        assert meta["error"]["type"] == "PerturbativeBoundError"
+
+    def test_fit_out_in_missing_directory_fails_first(self, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(analysis, "fit_with_uncertainty", no_fit)
+        path = tmp_path / "trace.csv"
+        path.write_text("t_ns,sigma\n0,0\n")
+        out = tmp_path / "missing" / "fit.json"
+        assert cli.main(["fit", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.parent.exists()
 
     def test_fit_trace_csv(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
