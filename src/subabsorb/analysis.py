@@ -29,6 +29,7 @@ TAU_INITIAL = 2.0
 MAX_ITERATIONS = 200
 TAIL_FRACTION = 0.125            # trailing part of the window used for the
                                  # steady-state estimate
+MAX_FAILURE_FRACTION = 0.01      # Monte-Carlo refits allowed to fail
 
 
 class FitError(RuntimeError):
@@ -308,13 +309,16 @@ def synthesize_counts(truth: OpticalDepthTrace, cycles: int, photons_per_pulse: 
 
 
 def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
-                            seed: int = 0, window: tuple[float, float] = FIT_WINDOW,
-                            max_failure_fraction: float = 0.01) -> float:
+                            seed: int = 0,
+                            window: tuple[float, float] = FIT_WINDOW) -> float:
     """Std of refitted tau over Gaussian perturbations of each trace point.
 
     Perturbation i uses seed+i; estimates are re-derived from each perturbed
     trace exactly as a fresh fit would.  Returns the standard deviation of
     the tau sample.  Zero-uncertainty traces return 0 without refitting.
+    A refit that does not converge, or ends with a non-finite cost or
+    parameter, counts as failed; more than MAX_FAILURE_FRACTION failures
+    raise FitError.
     """
     if not trace.has_uncertainties():
         return 0.0
@@ -337,8 +341,9 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     p0 = np.stack([sss_est, sini_est, np.full(resamples, TAU_INITIAL)], axis=1)
     p, cost, iters, ok = _lm_batch(tw, pert, np.tile(w, (resamples, 1)), p0, lo, hi,
                                    t0=window[0])
+    ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
     failures = int(np.count_nonzero(~ok))
-    if failures > max_failure_fraction * resamples:
+    if failures > MAX_FAILURE_FRACTION * resamples:
         raise FitError(f"{failures}/{resamples} resample fits failed; "
                        "uncertainty estimate unreliable")
     taus = p[ok, 2]

@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    subabsorb run <recipe|config.json> [--seed S] [--realizations M]
-                  [--threads K] [--out DIR]
+    subabsorb run <recipe|config.json> [--seed S] [--realizations M] [--out DIR]
     subabsorb list
     subabsorb fit <trace.csv> [--lifetime-ns T] [--resamples N] [--seed S]
                   [--out FILE]
@@ -43,8 +42,6 @@ def _build_parser():
     p_run.add_argument("--seed", type=int, default=None, help="override the base RNG seed")
     p_run.add_argument("--realizations", type=int, default=None,
                        help="override the disorder-realization count")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep points")
     p_run.add_argument("--out", default=None, help="output directory")
 
     sub.add_parser("list", help="print the recipe catalog")
@@ -91,13 +88,15 @@ def _read_trace_csv(path, lifetime_ns):
 
 
 def cmd_run(args) -> int:
+    if args.realizations is not None and args.realizations < 1:
+        raise ConfigError("--realizations must be >= 1")
     if os.path.exists(args.recipe) or args.recipe.endswith(".json"):
         recipe = recipes.load_recipe(args.recipe)
     else:
         recipe = recipes.get_recipe(args.recipe)
     out_dir = _default_out(args.out)
     result = recipes.run_recipe(recipe, out_dir, seed=args.seed,
-                                realizations=args.realizations, threads=args.threads)
+                                realizations=args.realizations)
     print(f"{recipe.name}: {len(result.rows)} rows -> "
           f"{os.path.join(out_dir, recipe.name)}")
     return EXIT_OK

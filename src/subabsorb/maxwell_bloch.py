@@ -247,6 +247,12 @@ def simulate_transmission(pulse: PulseShape, depth, t_max: float = DEFAULT_T_MAX
     """
     grid = propagate_pulse(pulse, depth, t_max=t_max, steps_per_tau=steps_per_tau,
                            z_steps=z_steps)
+    return transmission_from_grid(grid, pulse)
+
+
+def transmission_from_grid(grid: FieldGrid, pulse: PulseShape) -> TransmissionTrace:
+    """Input and output intensities of a propagated grid, normalized to the
+    peak input |Omega|^2 of ``pulse``."""
     scale = pulse.amplitude**2
     if scale == 0:
         raise DomainError("pulse amplitude must be positive for a transmission trace")

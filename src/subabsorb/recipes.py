@@ -15,7 +15,6 @@ import json
 import math
 import os
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +25,11 @@ from .core import (AtomicSpecies, ConfigError, DomainError, EnsembleConfig,
                    load_config_dict, optical_depth_from_geometry, pulse_from_dict,
                    species_from_dict)
 
-MODELS = ("maxwell_bloch", "coupled_dipole")
-SWEPT_PARAMETERS = ("sigma_ss", "box_side", "beta", "detuning")
+#: the parameters each model can sweep
+MODEL_PARAMETERS = {
+    "maxwell_bloch": ("sigma_ss", "detuning"),
+    "coupled_dipole": ("sigma_ss", "box_side", "beta"),
+}
 
 #: dephasing coefficients (beta/2pi, Hz cm^3) of the standard suppression sweep
 BETA_SET = (0.0, 9e-7, 2.8e-6, 9e-6, 2.8e-5, 9e-5)
@@ -39,7 +41,7 @@ DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
 FIT_ERRORS = (analysis.FitError, analysis.DegenerateTraceError)
 MODEL_ERRORS = (coupled_dipole.PerturbativeBoundError,
                 coupled_dipole.DensityTooHighError, DomainError)
-SWEEP_ERRORS = FIT_ERRORS + MODEL_ERRORS + (ConfigError,)
+SWEEP_ERRORS = FIT_ERRORS + MODEL_ERRORS
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,24 @@ class ExperimentRecipe:
     description: str = ""
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if self.model not in MODEL_PARAMETERS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.swept_parameter not in SWEPT_PARAMETERS:
-            raise ConfigError(f"unknown swept parameter {self.swept_parameter!r}")
+        if self.swept_parameter not in MODEL_PARAMETERS[self.model]:
+            raise ConfigError(f"swept parameter {self.swept_parameter!r} not supported "
+                              f"by the {self.model} model")
         if len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be non-empty")
         diffs = np.diff(self.sweep_values)
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep_values must be strictly monotone")
+        depths = (self.sigma_ss_fixed,) + self.od_grid
+        if self.swept_parameter == "sigma_ss":
+            depths += self.sweep_values
+        if min(depths) <= 0:
+            raise ConfigError("sigma_ss values, sigma_ss_fixed and od_grid must be > 0")
+        if (self.swept_parameter == "box_side"
+                and min(self.sweep_values) <= self.ensemble.min_pair_separation):
+            raise ConfigError("box_side values must exceed min_pair_separation")
 
     def to_dict(self) -> dict:
         lam_um = self.species.wavelength_um
@@ -202,12 +213,14 @@ class SweepResult:
 
 
 def _git_hash() -> str:
+    """Commit of the checkout the package was imported from, or "unknown"."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+                             text=True, timeout=5,
+                             cwd=os.path.dirname(os.path.abspath(__file__)))
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -230,90 +243,48 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _mb_point(recipe: ExperimentRecipe, value: float, base_seed: int):
+def _mb_point(recipe: ExperimentRecipe, value: float, seed: int):
     pulse = recipe.pulse
     sigma_ss = recipe.sigma_ss_fixed
     if recipe.swept_parameter == "sigma_ss":
         sigma_ss = value
-    elif recipe.swept_parameter == "detuning":
-        pulse = replace(pulse, detuning=value)
     else:
-        raise ConfigError(
-            f"swept parameter {recipe.swept_parameter!r} not supported by the "
-            "propagation model")
-    trace = maxwell_bloch.simulate_transmission(pulse, sigma_ss)
-    od = analysis.optical_depth_trace(trace)
-    fit = analysis.fit_rise_time(od)
+        pulse = replace(pulse, detuning=value)
+    grid = maxwell_bloch.propagate_pulse(pulse, sigma_ss)
+    trace = maxwell_bloch.transmission_from_grid(grid, pulse)
+    fit = analysis.fit_rise_time(analysis.optical_depth_trace(trace))
     row = SweepRow(swept_value=value, sigma_ss=sigma_ss,
-                   tau_over_2tau_a=fit.tau / 2.0, tau_err_over_2tau_a=0.0,
-                   seed=base_seed)
+                   tau_over_2tau_a=fit.tau / 2.0, tau_err_over_2tau_a=0.0, seed=seed)
     artifacts = {"trace": trace}
     if recipe.dump_grid:
-        artifacts["grid"] = maxwell_bloch.propagate_pulse(pulse, sigma_ss)
+        artifacts["grid"] = grid
     return row, artifacts
 
 
-def _cd_point(recipe: ExperimentRecipe, value: float, index: int, base_seed: int,
-              realizations: int):
-    ensemble = recipe.ensemble
-    if recipe.swept_parameter == "sigma_ss":
-        side = box_side_for_sigma_ss(value, ensemble.atom_count)
-    elif recipe.swept_parameter == "box_side":
-        side = value
-    else:
-        raise ConfigError(
-            f"swept parameter {recipe.swept_parameter!r} not supported by the "
-            "collective model")
-    point_seed = base_seed + index * realizations
-    config = replace(ensemble, box=(side, side, side), rng_seed=point_seed,
-                     realization_count=realizations)
+def _cd_point(recipe: ExperimentRecipe, value: float, side: float, beta: float,
+              seed: int, realizations: int, spectra: dict):
+    """Realizations seed .. seed+M-1 of a cube of side ``side`` at dephasing
+    coefficient ``beta``; the row holds the mean fitted tau and its standard
+    error.  ``spectra`` is shared by every point of the sweep, so a geometry
+    seen again at another beta is sampled and diagonalized once.
+    """
+    config = replace(recipe.ensemble, box=(side, side, side), rng_seed=seed,
+                     realization_count=realizations, beta_over_2pi_hz_cm3=beta)
     sigma_ss = optical_depth_from_geometry(config).sigma_ss
     result = coupled_dipole.run_ensemble(config, species=recipe.species,
-                                         pulse=recipe.pulse, mode=recipe.mode)
-    taus = []
-    for tr in result.traces:
-        od = analysis.trace_from_dipole(tr, sigma_ss)
-        taus.append(analysis.fit_rise_time(od).tau)
-    taus = np.asarray(taus)
+                                         pulse=recipe.pulse, mode=recipe.mode,
+                                         spectra=spectra)
+    taus = np.asarray([
+        analysis.fit_rise_time(analysis.trace_from_dipole(tr, sigma_ss)).tau
+        for tr in result.traces])
     err = taus.std(ddof=1) / math.sqrt(len(taus)) if len(taus) > 1 else 0.0
     row = SweepRow(swept_value=value, sigma_ss=sigma_ss,
                    tau_over_2tau_a=float(taus.mean() / 2.0),
-                   tau_err_over_2tau_a=float(err / 2.0), seed=point_seed)
+                   tau_err_over_2tau_a=float(err / 2.0), seed=seed)
     return row, {"ensemble": result, "config": config, "sigma_ss": sigma_ss}
 
 
-def _beta_points(recipe: ExperimentRecipe, beta: float, base_seed: int,
-                 realizations: int, spectra: dict):
-    """Inner optical-depth grid at one dephasing coefficient.
-
-    Seeds depend on the grid index only, so every beta value sees the same
-    disorder realizations and the suppression trend is not confounded by
-    configuration noise.  ``spectra`` is shared by every beta of the sweep,
-    so each realization is sampled and diagonalized once.
-    """
-    od_grid = recipe.od_grid or DEFAULT_OD_GRID
-    rows = []
-    for k, od in enumerate(od_grid):
-        side = box_side_for_sigma_ss(od, recipe.ensemble.atom_count)
-        point_seed = base_seed + k * realizations
-        config = replace(recipe.ensemble, box=(side, side, side),
-                         rng_seed=point_seed, realization_count=realizations,
-                         beta_over_2pi_hz_cm3=beta)
-        sigma_ss = optical_depth_from_geometry(config).sigma_ss
-        result = coupled_dipole.run_ensemble(config, species=recipe.species,
-                                             pulse=recipe.pulse, mode=recipe.mode,
-                                             spectra=spectra)
-        taus = np.asarray([
-            analysis.fit_rise_time(analysis.trace_from_dipole(tr, sigma_ss)).tau
-            for tr in result.traces])
-        err = taus.std(ddof=1) / math.sqrt(len(taus)) if len(taus) > 1 else 0.0
-        rows.append(SweepRow(swept_value=beta, sigma_ss=sigma_ss,
-                             tau_over_2tau_a=float(taus.mean() / 2.0),
-                             tau_err_over_2tau_a=float(err / 2.0), seed=point_seed))
-    return rows
-
-
-def _write_mb_artifacts(out_dir, recipe, index, artifacts, species):
+def _write_mb_artifacts(out_dir, index, artifacts, species):
     trace = artifacts["trace"]
     t_ns = species.time_to_ns(trace.t_points)
     _write_csv(os.path.join(out_dir, f"point_{index:02d}_trace.csv"),
@@ -328,7 +299,7 @@ def _write_mb_artifacts(out_dir, recipe, index, artifacts, species):
             sigma_ss=grid.sigma_ss)
 
 
-def _write_cd_artifacts(out_dir, recipe, index, artifacts, species):
+def _write_cd_artifacts(out_dir, index, artifacts, species):
     result = artifacts["ensemble"]
     config = artifacts["config"]
     sigma_ss = artifacts["sigma_ss"]
@@ -349,66 +320,56 @@ def _write_cd_artifacts(out_dir, recipe, index, artifacts, species):
 
 
 def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
-               realizations: int | None = None, threads: int = 1,
-               write_traces: bool = True) -> SweepResult:
+               realizations: int | None = None) -> SweepResult:
     """Execute every sweep point, fit rise-times, write CSV + JSON outputs.
 
-    Fully deterministic for fixed seeds; sweep points may execute on a
-    bounded worker pool, and results are assembled in sweep order regardless
-    of completion order.  A fit, model or config failure (SWEEP_ERRORS)
-    aborts the sweep with the completed rows flushed, the provenance marked
-    incomplete and an ``error`` record; fit failures are re-raised as
-    FitError, the others as their own type.
+    Points run one after another and each writes its traces as it
+    finishes, so a rerun with the same seeds is byte-identical.  A fit or
+    model failure (SWEEP_ERRORS) aborts the sweep with the completed rows
+    flushed, the provenance marked incomplete and an ``error`` record; fit
+    failures are re-raised as FitError, the others as their own type.
     """
     base_seed = recipe.ensemble.rng_seed if seed is None else int(seed)
     n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)
     out_dir = str(out_dir)
     run_dir = os.path.join(out_dir, recipe.name)
     os.makedirs(run_dir, exist_ok=True)
-    spectra: dict = {}      # realization spectra shared across a beta family
+    spectra: dict = {}      # realization spectra shared by every collective point
+    ensemble = recipe.ensemble
 
-    def point(index_value):
-        index, value = index_value
-        if recipe.model == "maxwell_bloch":
-            row, artifacts = _mb_point(recipe, value, base_seed)
-            return [row], artifacts
-        if recipe.swept_parameter == "beta":
-            return _beta_points(recipe, value, base_seed, n_real, spectra), None
-        row, artifacts = _cd_point(recipe, value, index, base_seed, n_real)
-        return [row], artifacts
+    # (trace index, swept value, optical depth or cube side, beta, seed)
+    if recipe.swept_parameter == "beta":
+        # Every beta runs the optical-depth grid with seeds from the grid
+        # index only, so all beta values see the same disorder realizations
+        # and the suppression trend is not confounded by configuration
+        # noise.  These points write no traces.
+        od_grid = recipe.od_grid or DEFAULT_OD_GRID
+        points = [(None, beta, od, beta, base_seed + k * n_real)
+                  for beta in recipe.sweep_values for k, od in enumerate(od_grid)]
+    else:
+        points = [(index, value, value, ensemble.beta_over_2pi_hz_cm3,
+                   base_seed + index * n_real)
+                  for index, value in enumerate(recipe.sweep_values)]
 
-    jobs = list(enumerate(recipe.sweep_values))
+    write = _write_mb_artifacts if recipe.model == "maxwell_bloch" else _write_cd_artifacts
     rows: list[SweepRow] = []
     error: Exception | None = None
-    results: list = [None] * len(jobs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(point, job) for job in jobs]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except SWEEP_ERRORS as exc:
-                    error = exc
-                    break
-    else:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = point(job)
-            except SWEEP_ERRORS as exc:
-                error = exc
-                break
-    complete = error is None
-
-    for index, res in enumerate(results):
-        if res is None:
-            continue
-        point_rows, artifacts = res
-        rows.extend(point_rows)
-        if write_traces and artifacts is not None:
+    for index, value, depth_or_side, beta, point_seed in points:
+        try:
             if recipe.model == "maxwell_bloch":
-                _write_mb_artifacts(run_dir, recipe, index, artifacts, recipe.species)
+                row, artifacts = _mb_point(recipe, value, base_seed)
             else:
-                _write_cd_artifacts(run_dir, recipe, index, artifacts, recipe.species)
+                side = depth_or_side if recipe.swept_parameter == "box_side" else \
+                    box_side_for_sigma_ss(depth_or_side, ensemble.atom_count)
+                row, artifacts = _cd_point(recipe, value, side, beta, point_seed,
+                                           n_real, spectra)
+        except SWEEP_ERRORS as exc:
+            error = exc
+            break
+        rows.append(row)
+        if index is not None:
+            write(run_dir, index, artifacts, recipe.species)
+    complete = error is None
 
     provenance = {
         "recipe": recipe.name,

@@ -177,7 +177,7 @@ def test_criterion_9_dephasing_suppression_trend(tmp_path):
         name="acc9", model="coupled_dipole", swept_parameter="beta",
         sweep_values=BETA_SET, od_grid=od_grid, pulse=STEP,
         ensemble=EnsembleConfig(atom_count=500, rng_seed=900, realization_count=10))
-    result = run_recipe(recipe, tmp_path, write_traces=False)
+    result = run_recipe(recipe, tmp_path)
     curves = {}
     for row in result.rows:
         curves.setdefault(row.swept_value, []).append((row.sigma_ss,
@@ -256,8 +256,8 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
     identical = True
     compared = 0
     for recipe in recipes:
-        run_recipe(recipe, tmp_path / "a", threads=1)
-        run_recipe(recipe, tmp_path / "b", threads=1)
+        run_recipe(recipe, tmp_path / "a")
+        run_recipe(recipe, tmp_path / "b")
         adir = tmp_path / "a" / recipe.name
         bdir = tmp_path / "b" / recipe.name
         for name in sorted(os.listdir(adir)):
@@ -267,7 +267,7 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
             if (adir / name).read_bytes() != (bdir / name).read_bytes():
                 identical = False
     ok = identical and compared > 4
-    report(12, ok, f"{compared} output CSVs byte-identical across reruns "
-                   f"(single-threaded): {identical}")
+    report(12, ok, f"{compared} output CSVs byte-identical across reruns: "
+                   f"{identical}")
     assert identical
     assert compared > 4

@@ -260,3 +260,5 @@ class TestMonteCarloUncertainty:
         trace = make_trace(t, sigma, np.ones_like(t))
         with pytest.raises((FitError, DegenerateTraceError)):
             fit_rise_time(trace)
+        with pytest.raises(FitError):
+            monte_carlo_uncertainty(trace, resamples=200)

@@ -1,10 +1,11 @@
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
 
-from subabsorb import analysis, cli, coupled_dipole
+from subabsorb import analysis, cli, coupled_dipole, maxwell_bloch, recipes
 from subabsorb.core import ConfigError, EnsembleConfig, PulseShape
 from subabsorb.recipes import (ExperimentRecipe, get_recipe, load_recipe,
                                recipe_catalog, recipe_from_dict, run_recipe)
@@ -67,6 +68,14 @@ class TestCatalog:
             ExperimentRecipe(name="x", model="maxwell_bloch",
                              swept_parameter="sigma_ss", sweep_values=(0.1, 0.3, 0.2))
 
+    @pytest.mark.parametrize("model,parameter", [("coupled_dipole", "detuning"),
+                                                 ("maxwell_bloch", "beta"),
+                                                 ("maxwell_bloch", "box_side")])
+    def test_unsupported_model_parameter_pair(self, model, parameter):
+        with pytest.raises(ConfigError, match="not supported"):
+            ExperimentRecipe(name="x", model=model, swept_parameter=parameter,
+                             sweep_values=(1.0, 2.0))
+
 
 class TestRunRecipe:
     def test_outputs_and_formats(self, tmp_path):
@@ -87,6 +96,14 @@ class TestRunRecipe:
         assert prov["complete"] is True
         assert "config_hash" in prov and "git_hash" in prov and "timestamp" in prov
 
+    def test_git_hash_is_the_package_checkout(self, tmp_path, monkeypatch):
+        package_dir = os.path.dirname(os.path.abspath(recipes.__file__))
+        out = subprocess.run(["git", "-C", package_dir, "rev-parse", "HEAD"],
+                             capture_output=True, text=True)
+        expected = out.stdout.strip() if out.returncode == 0 else "unknown"
+        monkeypatch.chdir(tmp_path)
+        assert recipes._git_hash() == expected
+
     def test_rows_positive_tau(self, tmp_path):
         result = run_recipe(tiny_cd_recipe(), tmp_path)
         for row in result.rows:
@@ -100,13 +117,6 @@ class TestRunRecipe:
             if name.endswith(".csv"):
                 assert read_bytes(tmp_path / "a" / "tiny_cd" / name) == \
                     read_bytes(tmp_path / "b" / "tiny_cd" / name), name
-
-    def test_threaded_matches_serial(self, tmp_path):
-        recipe = tiny_cd_recipe()
-        run_recipe(recipe, tmp_path / "serial", threads=1)
-        run_recipe(recipe, tmp_path / "pool", threads=3)
-        assert read_bytes(tmp_path / "serial" / "tiny_cd" / "sweep.csv") == \
-            read_bytes(tmp_path / "pool" / "tiny_cd" / "sweep.csv")
 
     def test_seed_override_changes_rows(self, tmp_path):
         recipe = tiny_cd_recipe()
@@ -124,11 +134,21 @@ class TestRunRecipe:
         assert len(result.rows) == 2
         assert result.rows[0].tau_over_2tau_a > result.rows[1].tau_over_2tau_a
 
-    def test_grid_dump(self, tmp_path):
+    def test_grid_dump(self, tmp_path, monkeypatch):
+        calls = []
+        original = maxwell_bloch.propagate_pulse
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(maxwell_bloch, "propagate_pulse", counting)
         recipe = ExperimentRecipe(name="dump", model="maxwell_bloch",
                                   swept_parameter="sigma_ss", sweep_values=(0.5,),
                                   dump_grid=True)
         run_recipe(recipe, tmp_path)
+        # the trace and the dumped grid come from one propagation
+        assert len(calls) == 1
         with np.load(tmp_path / "dump" / "point_00_grid.npz") as grid:
             assert {"z_points", "t_ns", "rabi", "rho00", "rho11", "rho01",
                     "sigma_ss"} <= set(grid.files)
@@ -201,6 +221,25 @@ class TestCli:
         path.write_text("{]")
         assert cli.main(["run", str(path)]) == 3
         assert cli.main(["run", "no_such_recipe"]) == 3
+
+    @pytest.mark.parametrize("fields,argv", [
+        ({"swept_parameter": "sigma_ss", "sweep_values": [-0.5, 0.5]}, []),
+        ({"sigma_ss_fixed": 0.0}, []),
+        ({"swept_parameter": "box_side", "sweep_values": [20.0, 0.05]}, []),
+        ({"swept_parameter": "detuning", "sweep_values": [0.0, 0.5]}, []),
+        ({}, ["--realizations", "0"]),
+    ])
+    def test_bad_values_fail_at_load(self, tmp_path, fields, argv):
+        cfg = {"name": "cd_bad", "model": "coupled_dipole",
+               "swept_parameter": "sigma_ss", "sweep_values": [0.5],
+               "pulse": {"kind": "step"},
+               "ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1}}
+        cfg.update(fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "runs"
+        assert cli.main(["run", str(path), "--out", str(out)] + argv) == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_model_error_exit_code_keeps_completed_rows(self, tmp_path):
         # the second cube cannot hold 40 atoms 0.05 lambda apart
