@@ -118,7 +118,8 @@ def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
     """Projected Levenberg-Marquardt over a batch of traces.
 
     t: (T,);  y, w: (B, T);  p0, lo, hi: (B, 3) for (s_ss, s_init, tau).
-    Returns (params, cost, iterations, converged_mask).
+    Returns (params, cost, iterations, converged_mask).  A row with a
+    non-finite starting cost is returned unconverged after 0 iterations.
 
     A row that converges is frozen and dropped from every later iteration,
     so an iteration costs only as much as the rows still moving.  Every
@@ -136,8 +137,9 @@ def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
         return (model - y) * w, e
 
     p = np.clip(p0, lo, hi)
-    r, e = residuals(p, y, w)
-    cost = np.einsum('bt,bt->b', r, r)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r, e = residuals(p, y, w)
+        cost = np.einsum('bt,bt->b', r, r)
     converged = np.zeros(b, dtype=bool)
     iterations = np.zeros(b, dtype=int)
     # working set: the unconverged rows (original indices in `rows`) and
@@ -146,6 +148,13 @@ def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
     p_a, y_a, w_a, lo_a, hi_a, cost_a = p, y, w, lo, hi, cost
     lam = np.full(b, 1e-3)
     history = np.full((b, 20), np.inf)   # cost 20 iterations ago, per row
+    # a row whose data or start gives a non-finite cost cannot be fitted:
+    # it leaves the working set at once, not converged
+    finite = np.isfinite(cost)
+    if not np.all(finite):
+        rows, p_a, y_a, w_a, lo_a, hi_a, r, e, cost_a, lam, history = (
+            x[finite] for x in (rows, p_a, y_a, w_a, lo_a, hi_a, r, e, cost_a,
+                                lam, history))
     for it in range(max_iter):
         if rows.size == 0:
             break

@@ -88,8 +88,6 @@ def _read_trace_csv(path, lifetime_ns):
 
 
 def cmd_run(args) -> int:
-    if args.realizations is not None and args.realizations < 1:
-        raise ConfigError("--realizations must be >= 1")
     if os.path.exists(args.recipe) or args.recipe.endswith(".json"):
         recipe = recipes.load_recipe(args.recipe)
     else:

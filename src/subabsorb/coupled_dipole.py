@@ -117,26 +117,23 @@ def sample_positions(config: EnsembleConfig, seed: int) -> EnsembleRealization:
     pts = np.empty((n, 3))
     count = 0
     rejections = 0
+    min_d2 = math.inf       # over the pairs of accepted points
     while count < n:
         cand = rng.uniform(0.0, 1.0, size=3) * box
-        if count and r_min2 > 0.0:
-            d2 = np.sum((pts[:count] - cand) ** 2, axis=1)
-            if np.min(d2) < r_min2:
+        if count:
+            d2 = float(np.min(np.sum((pts[:count] - cand) ** 2, axis=1)))
+            if d2 < r_min2:
                 rejections += 1
                 if rejections > MAX_REJECTIONS:
                     raise DensityTooHighError(
                         "pair-exclusion rejection sampling did not terminate")
                 continue
+            min_d2 = min(min_d2, d2)
         pts[count] = cand
         count += 1
         rejections = 0
-    if n > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        min_dist = float(np.min(dist[np.triu_indices(n, 1)]))
-    else:
-        min_dist = math.inf
-    return EnsembleRealization(positions=pts, seed_used=seed, min_pair_distance=min_dist)
+    return EnsembleRealization(positions=pts, seed_used=seed,
+                               min_pair_distance=math.sqrt(min_d2))
 
 
 def coupling_f(r_vec, polarization=X_HAT, mode: str = "vectorial",

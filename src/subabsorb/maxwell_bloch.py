@@ -39,7 +39,8 @@ class FieldGrid:
 
     Arrays are indexed [z, t].  z_points spans [0, L] (lambda_a units when a
     physical length is known, else L = 1), t_points spans [0, t_max] in
-    tau_a units.
+    tau_a units.  A grid from propagate_batch without ``full_grid`` holds
+    only the two planes z = 0 and z = L.
     """
 
     z_points: np.ndarray
@@ -168,73 +169,107 @@ def propagate_pulse(pulse: PulseShape, depth, t_max: float = DEFAULT_T_MAX,
     which is the z march of the propagation equation), and the resulting
     coupled system for all z nodes is advanced in t with classical RK4.
     Boundary condition Omega(z=0, t) = pulse.envelope(t); uniform density.
+    The full grid is kept; this is a batch of one through propagate_batch.
     """
-    sigma_ss, length = _resolve_depth(depth)
-    if z_steps is None:
-        z_steps = default_z_steps(sigma_ss)
+    return propagate_batch([pulse], [depth], t_max=t_max, steps_per_tau=steps_per_tau,
+                           z_steps=z_steps, full_grid=True)[0]
+
+
+def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
+                    steps_per_tau: int = DEFAULT_STEPS_PER_TAU,
+                    z_steps: int | None = None, full_grid: bool = False) -> list[FieldGrid]:
+    """Propagate several (pulse, depth) rows through one RK4 time loop.
+
+    The rows share the time axis and the number of z steps (by default
+    default_z_steps of each depth, which must then agree); detuning,
+    envelope and optical depth are per row.  Every row is advanced by the
+    same elementwise arithmetic as a batch of one, so its grid does not
+    depend on which other rows share the batch.  Without ``full_grid`` the
+    returned grids hold only the z = 0 and z = L planes, which is all that
+    transmission_from_grid reads.
+    """
+    resolved = [_resolve_depth(d) for d in depths]
+    steps = {default_z_steps(s) if z_steps is None else z_steps for s, _ in resolved}
+    if len(steps) != 1:
+        raise ResolutionError("rows of one batch need the same number of z steps")
+    z_steps = steps.pop()
     if z_steps < 1:
         raise ResolutionError("need at least one z step")
-    if sigma_ss / z_steps > MAX_ALPHA_DZ:
-        raise ResolutionError(
-            f"alpha*dz = {sigma_ss / z_steps:.3g} > {MAX_ALPHA_DZ}; "
-            "use >= 20 z-steps per unit optical depth")
+    for sigma_ss, _ in resolved:
+        if sigma_ss / z_steps > MAX_ALPHA_DZ:
+            raise ResolutionError(
+                f"alpha*dz = {sigma_ss / z_steps:.3g} > {MAX_ALPHA_DZ}; "
+                "use >= 20 z-steps per unit optical depth")
 
     n_t = int(round(steps_per_tau * t_max))
     t = np.linspace(0.0, t_max, n_t + 1)
     dt = t[1] - t[0]
     nz = z_steps + 1
-    dz = 1.0 / z_steps                      # zeta = z/L
-    z = np.linspace(0.0, 1.0, nz) * length
+    half_dz = 0.5 * (1.0 / z_steps)         # zeta = z/L
+    rows = len(resolved)
+    recorded = slice(None) if full_grid else slice(None, None, z_steps)
 
-    damp = 0.5 + 1j * pulse.detuning
-    half_alpha = 0.5 * sigma_ss
+    # per-row constants, shaped (rows, 1) to broadcast along z
+    neg_damp = np.array([[-(0.5 + 1j * p.detuning)] for p in pulses])
+    i_half_alpha = np.array([[1j * (0.5 * s)] for s, _ in resolved])
+    # boundary drive per time level and row, at t_k and at the RK4 midpoints,
+    # held complex so that no stage casts it
+    boundary = np.stack([p.envelope(t) for p in pulses], axis=1)[:, :, None] + 0j
+    bnd_mid = np.stack([p.envelope(t[:-1] + 0.5 * dt) for p in pulses],
+                       axis=1)[:, :, None] + 0j
 
-    def field_profile(r01, boundary):
+    integ = np.zeros((rows, nz), dtype=complex)
+    integ_tail = integ[:, 1:]
+
+    def field_profile(r01, bnd):
         # dOmega/dzeta = -i*(sigma_ss/2)*rho01, marched by cumulative trapezoid
-        integ = np.empty(nz, dtype=complex)
-        integ[0] = 0.0
-        np.cumsum((r01[1:] + r01[:-1]) * (0.5 * dz), out=integ[1:])
-        return boundary - 1j * half_alpha * integ
+        np.add(r01[:, 1:], r01[:, :-1], out=integ_tail)
+        np.multiply(integ_tail, half_dz, out=integ_tail)
+        np.cumsum(integ_tail, axis=1, out=integ_tail)
+        return bnd - i_half_alpha * integ
 
-    def deriv(r00, r11, r01, boundary):
-        om = field_profile(r01, boundary)
+    def deriv(y, om):
+        r00, r11, r01 = y
         cross = 0.5j * (om * np.conj(r01) - np.conj(om) * r01)
-        d00 = r11 + cross
-        d11 = -r11 - cross
-        d01 = -damp * r01 + 0.5j * om * (r11 - r00)
-        return d00, d11, d01
+        d = np.empty_like(y)
+        np.add(r11, cross, out=d[0])
+        np.subtract(-r11, cross, out=d[1])
+        np.add(neg_damp * r01, 0.5j * om * (r11 - r00), out=d[2])
+        return d
 
-    r00 = np.ones(nz, dtype=complex)
-    r11 = np.zeros(nz, dtype=complex)
-    r01 = np.zeros(nz, dtype=complex)
+    # state (rho00, rho11, rho01) x row x z, all complex
+    y = np.zeros((3, rows, nz), dtype=complex)
+    y[0] = 1.0
+    zeta = np.linspace(0.0, 1.0, nz)[recorded]
+    rabi = np.empty((rows, len(zeta), n_t + 1), dtype=complex)
+    pop = np.empty((2, rows, len(zeta), n_t + 1))       # rho00, rho11
+    coh = np.empty((rows, len(zeta), n_t + 1), dtype=complex)
 
-    rabi = np.empty((nz, n_t + 1), dtype=complex)
-    g00 = np.empty((nz, n_t + 1))
-    g11 = np.empty((nz, n_t + 1))
-    g01 = np.empty((nz, n_t + 1), dtype=complex)
-
-    boundary = pulse.envelope(t)
-    bnd_mid = pulse.envelope(t[:-1] + 0.5 * dt)
-
-    rabi[:, 0] = field_profile(r01, boundary[0])
-    g00[:, 0], g11[:, 0], g01[:, 0] = r00.real, r11.real, r01
-
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
+    om = field_profile(y[2], boundary[0])
+    rabi[..., 0] = om[:, recorded]
+    pop[..., 0] = y[:2, :, recorded].real
+    coh[..., 0] = y[2, :, recorded]
     for k in range(n_t):
-        b0, bm, b1 = boundary[k], bnd_mid[k], boundary[k + 1]
-        k1 = deriv(r00, r11, r01, b0)
-        k2 = deriv(r00 + 0.5 * dt * k1[0], r11 + 0.5 * dt * k1[1], r01 + 0.5 * dt * k1[2], bm)
-        k3 = deriv(r00 + 0.5 * dt * k2[0], r11 + 0.5 * dt * k2[1], r01 + 0.5 * dt * k2[2], bm)
-        k4 = deriv(r00 + dt * k3[0], r11 + dt * k3[1], r01 + dt * k3[2], b1)
-        r00 = r00 + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        r11 = r11 + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        r01 = r01 + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        rabi[:, k + 1] = field_profile(r01, boundary[k + 1])
-        g00[:, k + 1] = r00.real
-        g11[:, k + 1] = r11.real
-        g01[:, k + 1] = r01
+        bm = bnd_mid[k]
+        k1 = deriv(y, om)
+        y2 = y + h2 * k1
+        k2 = deriv(y2, field_profile(y2[2], bm))
+        y3 = y + h2 * k2
+        k3 = deriv(y3, field_profile(y3[2], bm))
+        y4 = y + dt * k3
+        k4 = deriv(y4, field_profile(y4[2], boundary[k + 1]))
+        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # the field at t_{k+1} is also the next step's first-stage field
+        om = field_profile(y[2], boundary[k + 1])
+        rabi[..., k + 1] = om[:, recorded]
+        pop[..., k + 1] = y[:2, :, recorded].real
+        coh[..., k + 1] = y[2, :, recorded]
 
-    return FieldGrid(z_points=z, t_points=t, rabi=rabi, rho00=g00, rho11=g11,
-                     rho01=g01, sigma_ss=sigma_ss)
+    return [FieldGrid(z_points=zeta * length, t_points=t, rabi=rabi[b],
+                      rho00=pop[0, b], rho11=pop[1, b], rho01=coh[b], sigma_ss=sigma_ss)
+            for b, (sigma_ss, length) in enumerate(resolved)]
 
 
 def simulate_transmission(pulse: PulseShape, depth, t_max: float = DEFAULT_T_MAX,
@@ -245,8 +280,8 @@ def simulate_transmission(pulse: PulseShape, depth, t_max: float = DEFAULT_T_MAX
     Intensities are |Omega|^2 normalized to the peak input, so I_input
     approaches 1 after the turn-on.
     """
-    grid = propagate_pulse(pulse, depth, t_max=t_max, steps_per_tau=steps_per_tau,
-                           z_steps=z_steps)
+    grid = propagate_batch([pulse], [depth], t_max=t_max, steps_per_tau=steps_per_tau,
+                           z_steps=z_steps)[0]
     return transmission_from_grid(grid, pulse)
 
 

@@ -18,8 +18,9 @@ import subprocess
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 
-from . import analysis, coupled_dipole, maxwell_bloch
+from . import __version__, analysis, coupled_dipole, maxwell_bloch
 from .core import (AtomicSpecies, ConfigError, DomainError, EnsembleConfig,
                    PulseShape, box_side_for_sigma_ss, ensemble_from_dict,
                    load_config_dict, optical_depth_from_geometry, pulse_from_dict,
@@ -78,6 +79,8 @@ class ExperimentRecipe:
         if (self.swept_parameter == "box_side"
                 and min(self.sweep_values) <= self.ensemble.min_pair_separation):
             raise ConfigError("box_side values must exceed min_pair_separation")
+        if self.model == "coupled_dipole" and self.ensemble.atom_count < 1:
+            raise ConfigError("the coupled_dipole model needs ensemble.atom_count >= 1")
 
     def to_dict(self) -> dict:
         lam_um = self.species.wavelength_um
@@ -243,14 +246,29 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _mb_point(recipe: ExperimentRecipe, value: float, seed: int):
-    pulse = recipe.pulse
-    sigma_ss = recipe.sigma_ss_fixed
+def _mb_input(recipe: ExperimentRecipe, value: float) -> tuple[PulseShape, float]:
+    """The pulse and optical depth of the Maxwell-Bloch point ``value``."""
     if recipe.swept_parameter == "sigma_ss":
-        sigma_ss = value
-    else:
-        pulse = replace(pulse, detuning=value)
-    grid = maxwell_bloch.propagate_pulse(pulse, sigma_ss)
+        return recipe.pulse, value
+    return replace(recipe.pulse, detuning=value), recipe.sigma_ss_fixed
+
+
+def _mb_grids(recipe: ExperimentRecipe, index: int) -> dict:
+    """Grids of point ``index`` and of every point on the same z grid,
+    propagated in one time loop and keyed by point index.  Only a
+    ``dump_grid`` recipe keeps the full grids."""
+    inputs = [_mb_input(recipe, value) for value in recipe.sweep_values]
+    z_steps = maxwell_bloch.default_z_steps(inputs[index][1])
+    group = [i for i, (_, sigma_ss) in enumerate(inputs)
+             if maxwell_bloch.default_z_steps(sigma_ss) == z_steps]
+    grids = maxwell_bloch.propagate_batch([inputs[i][0] for i in group],
+                                          [inputs[i][1] for i in group],
+                                          full_grid=recipe.dump_grid)
+    return dict(zip(group, grids))
+
+
+def _mb_point(recipe: ExperimentRecipe, value: float, seed: int, grid):
+    pulse, sigma_ss = _mb_input(recipe, value)
     trace = maxwell_bloch.transmission_from_grid(grid, pulse)
     fit = analysis.fit_rise_time(analysis.optical_depth_trace(trace))
     row = SweepRow(swept_value=value, sigma_ss=sigma_ss,
@@ -324,13 +342,17 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     """Execute every sweep point, fit rise-times, write CSV + JSON outputs.
 
     Points run one after another and each writes its traces as it
-    finishes, so a rerun with the same seeds is byte-identical.  A fit or
+    finishes, so a rerun with the same seeds is byte-identical.  Maxwell-
+    Bloch points on a common z grid are propagated together, in one
+    batched time loop, when the first of them is reached.  A fit or
     model failure (SWEEP_ERRORS) aborts the sweep with the completed rows
     flushed, the provenance marked incomplete and an ``error`` record; fit
     failures are re-raised as FitError, the others as their own type.
     """
     base_seed = recipe.ensemble.rng_seed if seed is None else int(seed)
     n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)
+    if n_real < 1:
+        raise ConfigError("realizations must be >= 1")
     out_dir = str(out_dir)
     run_dir = os.path.join(out_dir, recipe.name)
     os.makedirs(run_dir, exist_ok=True)
@@ -354,10 +376,13 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     write = _write_mb_artifacts if recipe.model == "maxwell_bloch" else _write_cd_artifacts
     rows: list[SweepRow] = []
     error: Exception | None = None
+    grids: dict = {}        # propagated Maxwell-Bloch points not yet fitted
     for index, value, depth_or_side, beta, point_seed in points:
         try:
             if recipe.model == "maxwell_bloch":
-                row, artifacts = _mb_point(recipe, value, base_seed)
+                if index not in grids:
+                    grids.update(_mb_grids(recipe, index))
+                row, artifacts = _mb_point(recipe, value, base_seed, grids.pop(index))
             else:
                 side = depth_or_side if recipe.swept_parameter == "box_side" else \
                     box_side_for_sigma_ss(depth_or_side, ensemble.atom_count)
@@ -375,6 +400,8 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
         "recipe": recipe.name,
         "config_hash": _config_hash(recipe),
         "git_hash": _git_hash(),
+        "versions": {"subabsorb": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "base_seed": base_seed,
         "realizations": n_real,
         "complete": complete,

@@ -101,6 +101,17 @@ class TestSampler:
         assert r.min_pair_distance >= 0.05
         assert np.all(r.positions >= 0) and np.all(r.positions <= 12.0)
 
+    @pytest.mark.parametrize("r_min", [0.0, 0.3])
+    def test_min_pair_distance_is_the_brute_force_minimum(self, r_min):
+        cfg = EnsembleConfig(atom_count=40, box=(2.0, 2.0, 2.0),
+                             min_pair_separation=r_min)
+        r = sample_positions(cfg, seed=11)
+        diff = r.positions[:, None, :] - r.positions[None, :, :]
+        dist = np.sqrt(np.sum(diff**2, axis=-1))
+        assert r.min_pair_distance == np.min(dist[np.triu_indices(40, 1)])
+        assert sample_positions(replace(cfg, atom_count=1), seed=11) \
+            .min_pair_distance == math.inf
+
     def test_dense_feasible_packing_passes_the_bound(self):
         # exclusion balls fill a third of the box, near the jamming limit of
         # sequential random insertion; the volume bound must not reject it

@@ -6,7 +6,8 @@ import pytest
 from subabsorb.core import DomainError, PulseShape
 from subabsorb.maxwell_bloch import (ResolutionError, StepSizeError,
                                      analytic_weak_field, evolve_density_matrix,
-                                     propagate_pulse, simulate_transmission)
+                                     propagate_batch, propagate_pulse,
+                                     simulate_transmission)
 
 
 def exact_step_output(t, sigma_ss, detuning=0.0, n_terms=60):
@@ -169,6 +170,44 @@ class TestPropagation:
     def test_default_z_steps_scale_with_depth(self):
         grid = propagate_pulse(PulseShape(kind="step"), 4.0)
         assert len(grid.z_points) - 1 >= 80
+
+
+class TestBatch:
+    """A batch row must be the same bits as that row propagated alone."""
+
+    @staticmethod
+    def assert_rows_match_single_runs(pulses, depths):
+        grids = propagate_batch(pulses, depths)
+        assert len(grids) == len(pulses)
+        for pulse, depth, grid in zip(pulses, depths, grids):
+            alone = propagate_pulse(pulse, depth)
+            assert grid.sigma_ss == alone.sigma_ss
+            assert np.array_equal(grid.t_points, alone.t_points)
+            assert np.array_equal(grid.z_points, alone.z_points[[0, -1]])
+            for name in ("rabi", "rho00", "rho11", "rho01"):
+                assert np.array_equal(getattr(grid, name),
+                                      getattr(alone, name)[[0, -1]]), name
+
+    def test_mixed_optical_depths(self):
+        depths = [0.024, 0.3, 1.11, 2.5]
+        self.assert_rows_match_single_runs([PulseShape()] * len(depths), depths)
+
+    def test_mixed_detunings(self):
+        detunings = [0.0, 1.0 / 3.0, 1.1]
+        pulses = [PulseShape(kind="step", detuning=d) for d in detunings]
+        self.assert_rows_match_single_runs(pulses, [1.0] * len(pulses))
+
+    def test_full_grid_row_matches_single_run(self):
+        pulses = [PulseShape(detuning=0.5), PulseShape()]
+        grid = propagate_batch(pulses, [0.2, 0.9], full_grid=True)[1]
+        alone = propagate_pulse(PulseShape(), 0.9)
+        for name in ("z_points", "rabi", "rho00", "rho11", "rho01"):
+            assert np.array_equal(getattr(grid, name), getattr(alone, name)), name
+
+    def test_rows_on_different_z_grids_rejected(self):
+        # default_z_steps is 50 up to sigma_ss = 2.5 and 60 at 3.0
+        with pytest.raises(ResolutionError):
+            propagate_batch([PulseShape()] * 2, [0.5, 3.0])
 
 
 class TestTransmission:

@@ -4,8 +4,9 @@ import subprocess
 
 import numpy as np
 import pytest
+import scipy
 
-from subabsorb import analysis, cli, coupled_dipole, maxwell_bloch, recipes
+from subabsorb import __version__, analysis, cli, coupled_dipole, maxwell_bloch, recipes
 from subabsorb.core import ConfigError, EnsembleConfig, PulseShape
 from subabsorb.recipes import (ExperimentRecipe, get_recipe, load_recipe,
                                recipe_catalog, recipe_from_dict, run_recipe)
@@ -20,6 +21,19 @@ def tiny_cd_recipe(**overrides):
         ensemble=EnsembleConfig(atom_count=60, rng_seed=77, realization_count=3))
     kwargs.update(overrides)
     return ExperimentRecipe(**kwargs)
+
+
+def counting_batches(monkeypatch):
+    """Record the number of rows of every maxwell_bloch.propagate_batch call."""
+    rows_per_call = []
+    original = maxwell_bloch.propagate_batch
+
+    def counting(pulses, depths, **kwargs):
+        rows_per_call.append(len(pulses))
+        return original(pulses, depths, **kwargs)
+
+    monkeypatch.setattr(maxwell_bloch, "propagate_batch", counting)
+    return rows_per_call
 
 
 def read_bytes(path):
@@ -135,24 +149,46 @@ class TestRunRecipe:
         assert result.rows[0].tau_over_2tau_a > result.rows[1].tau_over_2tau_a
 
     def test_grid_dump(self, tmp_path, monkeypatch):
-        calls = []
-        original = maxwell_bloch.propagate_pulse
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(maxwell_bloch, "propagate_pulse", counting)
+        rows_per_call = counting_batches(monkeypatch)
         recipe = ExperimentRecipe(name="dump", model="maxwell_bloch",
                                   swept_parameter="sigma_ss", sweep_values=(0.5,),
                                   dump_grid=True)
         run_recipe(recipe, tmp_path)
         # the trace and the dumped grid come from one propagation
-        assert len(calls) == 1
+        assert rows_per_call == [1]
         with np.load(tmp_path / "dump" / "point_00_grid.npz") as grid:
             assert {"z_points", "t_ns", "rabi", "rho00", "rho11", "rho01",
                     "sigma_ss"} <= set(grid.files)
             assert grid["rabi"].shape == (len(grid["z_points"]), len(grid["t_ns"]))
+
+    def test_mb_points_propagate_in_one_batch_per_z_grid(self, tmp_path, monkeypatch):
+        # sigma_ss 2.6 needs 52 z steps, the others the default 50
+        values = (0.4, 1.0, 2.6)
+        singles = []
+        for k, value in enumerate(values):
+            one = ExperimentRecipe(name=f"one{k}", model="maxwell_bloch",
+                                   swept_parameter="sigma_ss", sweep_values=(value,))
+            singles.append(run_recipe(one, tmp_path).rows[0])
+        rows_per_call = counting_batches(monkeypatch)
+        recipe = ExperimentRecipe(name="mb3", model="maxwell_bloch",
+                                  swept_parameter="sigma_ss", sweep_values=values)
+        result = run_recipe(recipe, tmp_path)
+        assert rows_per_call == [2, 1]
+        assert result.rows == singles
+        for k in range(3):
+            assert read_bytes(tmp_path / "mb3" / f"point_{k:02d}_trace.csv") == \
+                read_bytes(tmp_path / f"one{k}" / "point_00_trace.csv")
+
+    def test_provenance_records_versions(self, tmp_path):
+        run_recipe(tiny_cd_recipe(sweep_values=(14.0,)), tmp_path, realizations=1)
+        meta = json.loads((tmp_path / "tiny_cd" / "sweep_meta.json").read_text())
+        assert meta["versions"] == {"subabsorb": __version__,
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
+
+    def test_zero_realizations_rejected_before_output(self, tmp_path):
+        with pytest.raises(ConfigError):
+            run_recipe(tiny_cd_recipe(), tmp_path / "runs", realizations=0)
+        assert not (tmp_path / "runs").exists()
 
     def test_beta_sweep_rows_carry_inner_grid(self, tmp_path):
         recipe = ExperimentRecipe(
@@ -228,6 +264,8 @@ class TestCli:
         ({"swept_parameter": "box_side", "sweep_values": [20.0, 0.05]}, []),
         ({"swept_parameter": "detuning", "sweep_values": [0.0, 0.5]}, []),
         ({}, ["--realizations", "0"]),
+        ({"swept_parameter": "box_side", "sweep_values": [20.0],
+          "ensemble": {"atom_count": 0, "rng_seed": 3, "realization_count": 1}}, []),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, fields, argv):
         cfg = {"name": "cd_bad", "model": "coupled_dipole",
