@@ -158,13 +158,15 @@ def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
     for it in range(max_iter):
         if rows.size == 0:
             break
-        jac = np.empty((rows.size, n_pts, 3))
-        jac[:, :, 0] = (1.0 - e) * w_a
-        jac[:, :, 1] = e * w_a
-        jac[:, :, 2] = (-(p_a[:, 0:1] - p_a[:, 1:2]) * e * (t[None, :] - t0)
-                        / p_a[:, 2:3] ** 2 * w_a)
-        jtj = np.einsum('bti,btj->bij', jac, jac)
-        g = np.einsum('bti,bt->bi', jac, r)
+        # Jacobian with one contiguous (rows, T) block per parameter, so the
+        # normal equations are one stacked BLAS product per row
+        jac = np.empty((rows.size, 3, n_pts))
+        jac[:, 0] = (1.0 - e) * w_a
+        jac[:, 1] = e * w_a
+        jac[:, 2] = (-(p_a[:, 0:1] - p_a[:, 1:2]) * e * (t[None, :] - t0)
+                     / p_a[:, 2:3] ** 2 * w_a)
+        jtj = jac @ jac.transpose(0, 2, 1)
+        g = (jac @ r[:, :, None])[:, :, 0]
         # active-set reduction: a parameter pinned at a bound with its descent
         # direction pointing outward is dropped from the solve, otherwise the
         # clipped step crawls along the box face
@@ -322,13 +324,19 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
                             window: tuple[float, float] = FIT_WINDOW) -> float:
     """Std of refitted tau over Gaussian perturbations of each trace point.
 
-    Perturbation i uses seed+i; estimates are re-derived from each perturbed
+    All noise comes from one stream: resample i adds row i of
+    ``np.random.default_rng(seed).standard_normal((resamples, T))``, scaled
+    by u_sigma, to the T window points, so the first R rows of a longer run
+    are the R-resample run.  Estimates are re-derived from each perturbed
     trace exactly as a fresh fit would.  Returns the standard deviation of
     the tau sample.  Zero-uncertainty traces return 0 without refitting.
     A refit that does not converge, or ends with a non-finite cost or
     parameter, counts as failed; more than MAX_FAILURE_FRACTION failures
-    raise FitError.
+    raise FitError.  Fewer than 2 resamples raise DomainError, since they
+    give no standard deviation.
     """
+    if resamples < 2:
+        raise DomainError("need at least 2 resamples for a standard deviation")
     if not trace.has_uncertainties():
         return 0.0
     t = np.asarray(trace.t_points, dtype=float)
@@ -338,17 +346,15 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     uw = np.asarray(trace.u_sigma, dtype=float)[mask]
     w = np.where(uw > 0, 1.0 / np.maximum(uw, 1e-300), 1.0)
 
-    noise = np.empty((resamples, len(tw)))
-    for i in range(resamples):
-        noise[i] = np.random.default_rng(seed + i).normal(size=len(tw))
-    pert = yw[None, :] + noise * uw[None, :]
+    pert = yw[None, :] + (np.random.default_rng(seed).standard_normal((resamples, len(tw)))
+                          * uw[None, :])
 
     tail = tw >= window[1] - (window[1] - window[0]) * TAIL_FRACTION
     sss_est = pert[:, tail].mean(axis=1)
     sini_est = pert[:, 0]
     lo, hi = _boxes(sss_est, sini_est, resamples)
     p0 = np.stack([sss_est, sini_est, np.full(resamples, TAU_INITIAL)], axis=1)
-    p, cost, iters, ok = _lm_batch(tw, pert, np.tile(w, (resamples, 1)), p0, lo, hi,
+    p, cost, iters, ok = _lm_batch(tw, pert, np.broadcast_to(w, pert.shape), p0, lo, hi,
                                    t0=window[0])
     ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
     failures = int(np.count_nonzero(~ok))

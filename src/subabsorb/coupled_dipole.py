@@ -157,8 +157,13 @@ def coupling_f(r_vec, polarization=X_HAT, mode: str = "vectorial",
         cos2 = (np.tensordot(r_vec, polarization, axes=([-1], [0])) / r) ** 2
     else:
         raise DomainError(f"unknown coupling mode {mode!r}")
-    near = np.cos(kr) / kr**2 - np.sin(kr) / kr**3
-    bracket = (1.0 - cos2) * np.sin(kr) / kr + (1.0 - 3.0 * cos2) * near
+    # sin(kr) is evaluated once, into the array that becomes the bracket, so
+    # at most four pair-sized temporaries are live besides r, kr and cos2
+    bracket = np.sin(kr)
+    near = (np.cos(kr) / kr**2 - bracket / kr**3) * (1.0 - 3.0 * cos2)
+    bracket *= 1.0 - cos2
+    bracket /= kr
+    bracket += near
     return -0.75j * bracket
 
 

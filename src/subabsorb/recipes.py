@@ -228,6 +228,15 @@ def _git_hash() -> str:
     return "unknown"
 
 
+def _blas_build() -> str:
+    """Name and version of the BLAS numpy was built against, or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):           # older numpy has no dict mode
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def _config_hash(recipe: ExperimentRecipe) -> str:
     blob = json.dumps(recipe.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -401,7 +410,7 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
         "config_hash": _config_hash(recipe),
         "git_hash": _git_hash(),
         "versions": {"subabsorb": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": scipy.__version__, "blas": _blas_build()},
         "base_seed": base_seed,
         "realizations": n_real,
         "complete": complete,

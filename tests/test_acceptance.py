@@ -28,8 +28,9 @@ from subabsorb.core import EnsembleConfig, PulseShape, optical_depth_from_geomet
 from subabsorb.coupled_dipole import (build_coupling_matrix, drive_vector,
                                       evolve_closed_form, rk4_amplitudes,
                                       run_ensemble, sample_positions)
-from subabsorb.maxwell_bloch import (analytic_weak_field, propagate_pulse,
-                                     simulate_transmission)
+from subabsorb.maxwell_bloch import (analytic_weak_field, propagate_batch,
+                                     propagate_pulse, simulate_transmission,
+                                     transmission_from_grid)
 from subabsorb.recipes import BETA_SET, ExperimentRecipe, run_recipe
 
 STEP = PulseShape(kind="step")
@@ -83,7 +84,11 @@ def test_criterion_2_closed_form_equivalence(sigma_ss):
 
 def test_criterion_3_propagation_shortening():
     grid = np.geomspace(0.024, 1.11, 16)
-    taus = np.array([fitted_tau_mb(RAMP, s) for s in grid]) / 2.0
+    # one RK4 loop for all 16 depths: they share default_z_steps = 50, and a
+    # batched row is bitwise equal to its single propagation
+    grids = propagate_batch([RAMP] * len(grid), grid)
+    taus = np.array([fit_rise_time(optical_depth_trace(transmission_from_grid(g, RAMP))).tau
+                     for g in grids]) / 2.0
     decreasing = bool(np.all(np.diff(taus) < 0))
     ok = decreasing and taus[-1] < 1.0
     report(3, ok, f"tau/2tau_a strictly decreasing over sigma_ss "

@@ -197,6 +197,11 @@ class TestMonteCarloUncertainty:
         rng = np.random.default_rng(seed)
         return make_trace(t, truth + rng.normal(size=len(t)) * u, u)
 
+    @pytest.mark.parametrize("resamples", [1, 0, -3])
+    def test_too_few_resamples_rejected(self, resamples):
+        with pytest.raises(DomainError):
+            monte_carlo_uncertainty(self._noisy_trace(), resamples=resamples)
+
     def test_zero_uncertainty_returns_zero(self):
         t = np.linspace(0, 8, 105)
         trace = make_trace(t, exponential_truth(t))
@@ -207,6 +212,19 @@ class TestMonteCarloUncertainty:
         a = monte_carlo_uncertainty(trace, resamples=10_000, seed=5)
         b = monte_carlo_uncertainty(trace, resamples=10_000, seed=5)
         assert a == b  # fully deterministic, not merely 3 significant figures
+
+    def test_resamples_are_rows_of_one_stream(self):
+        # resample i perturbs the trace with row i of one standard-normal
+        # draw from default_rng(seed), and re-derives its estimates exactly
+        # as a fresh fit would; a shorter run uses the first rows of a longer one
+        trace = self._noisy_trace(seed=2)
+        inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
+        t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
+        for resamples in (200, 100):
+            noise = np.random.default_rng(9).standard_normal((resamples, len(t)))
+            taus = [fit_rise_time(make_trace(t, y + row * u, u)).tau for row in noise]
+            assert monte_carlo_uncertainty(trace, resamples=resamples, seed=9) == \
+                pytest.approx(np.std(taus, ddof=1), rel=1e-12)
 
     def test_doubling_uncertainties_roughly_doubles_tau_error(self):
         a = monte_carlo_uncertainty(self._noisy_trace(u_scale=1.0),

@@ -182,8 +182,10 @@ class TestRunRecipe:
     def test_provenance_records_versions(self, tmp_path):
         run_recipe(tiny_cd_recipe(sweep_values=(14.0,)), tmp_path, realizations=1)
         meta = json.loads((tmp_path / "tiny_cd" / "sweep_meta.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert meta["versions"] == {"subabsorb": __version__,
-                                    "numpy": np.__version__, "scipy": scipy.__version__}
+                                    "numpy": np.__version__, "scipy": scipy.__version__,
+                                    "blas": f"{blas['name']} {blas['version']}"}
 
     def test_zero_realizations_rejected_before_output(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -351,6 +353,19 @@ class TestCli:
             for a, s in zip(t_ns, sigma):
                 fh.write(f"{a:.10g},1.0,{np.exp(-s):.12g}\n")
         assert cli.main(["fit", str(path), "--resamples", "10"]) == 0
+
+    def test_fit_too_few_resamples_exit_code(self, tmp_path):
+        t_ns = np.linspace(0, 8 * 26.2, 60)
+        path = tmp_path / "trace.csv"
+        with open(path, "w") as fh:
+            fh.write("t_ns,sigma,u_sigma\n")
+            for a in t_ns:
+                fh.write(f"{a:.10g},{0.3 * (1 - np.exp(-a / 52.4)):.12g},0.005\n")
+        for resamples in ("1", "-3"):
+            out = tmp_path / f"fit{resamples}.json"
+            assert cli.main(["fit", str(path), "--resamples", resamples,
+                             "--out", str(out)]) == cli.EXIT_MODEL
+            assert not out.exists()
 
     def test_fit_missing_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
