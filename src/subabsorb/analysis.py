@@ -234,6 +234,11 @@ def _boxes(sss_est, sini_est, b):
     return lo, hi
 
 
+def _fit_weights(u: np.ndarray) -> np.ndarray:
+    """1/u where every uncertainty is positive, unit weights otherwise."""
+    return 1.0 / u if np.all(u > 0) else np.ones_like(u)
+
+
 def fit_rise_time(trace: OpticalDepthTrace, sigma_ss_estimate: float | None = None,
                   sigma_init_estimate: float | None = None,
                   window: tuple[float, float] = FIT_WINDOW) -> RiseTimeFit:
@@ -241,8 +246,9 @@ def fit_rise_time(trace: OpticalDepthTrace, sigma_ss_estimate: float | None = No
 
     Estimates default to the trace itself: the steady-state estimate is the
     mean over the trailing eighth of the window, the initial estimate is the
-    first window sample.  Weights are 1/u_sigma^2 where uncertainties are
-    nonzero, unit otherwise.
+    first window sample.  The squared residuals are weighted by 1/u_sigma^2
+    when every uncertainty in the window is positive; a window with any
+    zero uncertainty is fitted with unit weights.
     """
     t = np.asarray(trace.t_points, dtype=float)
     mask = (t >= window[0]) & (t <= window[1])
@@ -253,8 +259,7 @@ def fit_rise_time(trace: OpticalDepthTrace, sigma_ss_estimate: float | None = No
     uw = np.asarray(trace.u_sigma, dtype=float)[mask]
     if np.any(~np.isfinite(yw)):
         raise DegenerateTraceError("undefined sigma inside the fit window")
-    weighted = bool(np.all(uw > 0))
-    w = 1.0 / uw if weighted else np.ones_like(yw)
+    w = _fit_weights(uw)
 
     sss_def, sini_def = _default_estimates(tw, yw, window)
     sss_est = sss_def if sigma_ss_estimate is None else float(sigma_ss_estimate)
@@ -327,9 +332,10 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     All noise comes from one stream: resample i adds row i of
     ``np.random.default_rng(seed).standard_normal((resamples, T))``, scaled
     by u_sigma, to the T window points, so the first R rows of a longer run
-    are the R-resample run.  Estimates are re-derived from each perturbed
-    trace exactly as a fresh fit would.  Returns the standard deviation of
-    the tau sample.  Zero-uncertainty traces return 0 without refitting.
+    are the R-resample run.  Estimates and weights are derived from each
+    perturbed trace exactly as fit_rise_time derives them.  Returns the
+    standard deviation of the tau sample.  Zero-uncertainty traces return 0
+    without refitting.
     A refit that does not converge, or ends with a non-finite cost or
     parameter, counts as failed; more than MAX_FAILURE_FRACTION failures
     raise FitError.  Fewer than 2 resamples raise DomainError, since they
@@ -344,7 +350,7 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     tw = t[mask]
     yw = np.asarray(trace.sigma, dtype=float)[mask]
     uw = np.asarray(trace.u_sigma, dtype=float)[mask]
-    w = np.where(uw > 0, 1.0 / np.maximum(uw, 1e-300), 1.0)
+    w = _fit_weights(uw)
 
     pert = yw[None, :] + (np.random.default_rng(seed).standard_normal((resamples, len(tw)))
                           * uw[None, :])

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import AtomicSpecies, DomainError, EnsembleConfig, PulseShape, TWO_PI
 
@@ -34,7 +33,6 @@ DEFAULT_T_MAX = 8.0
 DEFAULT_T_SAMPLES = 161           # step tau_a/20 on [0, 8]
 NORM_BUDGET = 1e-2                # perturbative bound on sum |c_j|^2
 MAX_REJECTIONS = 1_000_000
-COND_LIMIT = 1e12
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 
@@ -64,21 +62,11 @@ class EnsembleRealization:
 
 
 @dataclass(frozen=True)
-class CouplingMatrix:
-    """Dense exchange matrix with decay diagonal and dephasing suppression."""
-
-    matrix: np.ndarray
-    mode: str
-    gamma_dd: float
-
-
-@dataclass(frozen=True)
 class AmplitudeState:
     """Excited-state amplitudes c_j(t), rows indexed by t_points."""
 
     t_points: np.ndarray
     amplitudes: np.ndarray
-    method: str
 
     def excitation_norm(self) -> np.ndarray:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
@@ -176,7 +164,7 @@ def suppression_factor(gamma_dd: float) -> float:
 
 def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.0,
                           mode: str = "vectorial",
-                          polarization=X_HAT) -> CouplingMatrix:
+                          polarization=X_HAT) -> np.ndarray:
     """Assemble H: diagonal 1/2, off-diagonals i*S(gamma_DD)*F_jk.
 
     F is purely imaginary, so H is returned as a real float64 matrix.  The
@@ -194,7 +182,7 @@ def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.
         h[iu] = vals
         h[(iu[1], iu[0])] = vals          # F_jk = F_kj
     np.fill_diagonal(h, 0.5)
-    return CouplingMatrix(matrix=h, mode=mode, gamma_dd=gamma_dd)
+    return h
 
 
 def drive_vector(positions, amplitude: float) -> np.ndarray:
@@ -206,7 +194,7 @@ def rk4_amplitudes(h: np.ndarray, omega_vec: np.ndarray, t_points: np.ndarray,
                    substeps: int = 40) -> AmplitudeState:
     """Direct fixed-step RK4 integration of dc/dt = -H c - i Omega_vec.
 
-    Reference integrator; also the last-resort fallback of the closed form.
+    Reference integrator that the closed form is checked against.
     """
     t_points = np.asarray(t_points, dtype=float)
     b = -1j * np.asarray(omega_vec)
@@ -230,81 +218,51 @@ def rk4_amplitudes(h: np.ndarray, omega_vec: np.ndarray, t_points: np.ndarray,
             k4 = f(c + dt * k3)
             c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i] = c
-    return AmplitudeState(t_points=t_points, amplitudes=out, method="rk4")
+    return AmplitudeState(t_points=t_points, amplitudes=out)
 
 
-def evolve_closed_form(coupling, omega_vec, t_points,
-                       enforce_norm: bool = True) -> AmplitudeState:
+def evolve_closed_form(h, omega_vec, t_points) -> AmplitudeState:
     """Step-drive solution c(t) = (I - exp(-H t)) H^{-1} (-i Omega_vec).
 
-    H real-symmetric (the generic case here) goes through one
-    eigendecomposition amortized over all output times; a general complex
-    matrix uses scaling-and-squaring exponentials; an ill-conditioned
-    solve falls back to direct integration.
+    H must be real symmetric with a positive spectrum; one eigendecomposition
+    serves all output times.  This amplitude-level reference is what the
+    spectral readout and rk4_amplitudes are checked against.
     """
-    h = coupling.matrix if isinstance(coupling, CouplingMatrix) else np.asarray(coupling)
+    h = np.asarray(h)
     t_points = np.asarray(t_points, dtype=float)
     b = -1j * np.asarray(omega_vec, dtype=complex)
     if t_points[0] != 0.0:
         raise DomainError("t_points must start at 0 (ground-state initial condition)")
-
-    state = None
-    if np.allclose(h.imag, 0.0, atol=1e-14) and np.allclose(h, h.T, atol=1e-13):
-        lam, q = np.linalg.eigh(h.real)
-        lam_max = np.max(np.abs(lam))
-        lam_min = np.min(np.abs(lam))
-        if lam_min > 0 and lam_max / lam_min < COND_LIMIT:
-            wb = q.T @ b
-            # c(t) = Q diag((1-e^{-lam t})/lam) Q^T b; expm1 keeps small-lam
-            # (deeply subradiant) modes accurate
-            phi = -np.expm1(-np.outer(t_points, lam)) / lam[None, :]
-            state = AmplitudeState(t_points=t_points,
-                                   amplitudes=(phi * wb[None, :]) @ q.T,
-                                   method="eigh")
-    else:
-        # complex-symmetric path: linear solve + matrix exponentials
-        try:
-            hinv_b = np.linalg.solve(h, b)
-            cond = np.linalg.cond(h)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if np.isfinite(cond) and cond < COND_LIMIT:
-            amps = np.empty((len(t_points), len(b)), dtype=complex)
-            for i, t in enumerate(t_points):
-                amps[i] = hinv_b - scipy.linalg.expm(-h * t) @ hinv_b
-            state = AmplitudeState(t_points=t_points, amplitudes=amps, method="expm")
-
-    if state is None:
-        state = rk4_amplitudes(h, omega_vec, t_points)
-
-    if enforce_norm:
-        peak = float(np.max(state.excitation_norm()))
-        if peak > NORM_BUDGET:
-            raise PerturbativeBoundError(
-                f"sum |c_j|^2 reached {peak:.3g} > {NORM_BUDGET}; weaken the drive")
+    if np.iscomplexobj(h) and np.any(h.imag):
+        raise DomainError("the closed form needs a real symmetric H")
+    lam, q = np.linalg.eigh(h.real)
+    if not lam[0] > 0:
+        raise DomainError(f"coupling spectrum is not positive: lambda_min = {lam[0]:.3g}")
+    wb = q.T @ b
+    # c(t) = Q diag((1-e^{-lam t})/lam) Q^T b; expm1 keeps small-lam
+    # (deeply subradiant) modes accurate
+    phi = -np.expm1(-np.outer(t_points, lam)) / lam[None, :]
+    state = AmplitudeState(t_points=t_points, amplitudes=(phi * wb[None, :]) @ q.T)
+    peak = float(np.max(state.excitation_norm()))
+    if peak > NORM_BUDGET:
+        raise PerturbativeBoundError(
+            f"sum |c_j|^2 reached {peak:.3g} > {NORM_BUDGET}; weaken the drive")
     return state
 
 
 def dipole_trace(state: AmplitudeState, realization: EnsembleRealization,
-                 coupling: CouplingMatrix | None = None,
-                 omega_vec: np.ndarray | None = None) -> DipoleTrace:
+                 h: np.ndarray, omega_vec: np.ndarray) -> DipoleTrace:
     """Phase-referenced dipole envelope P(t) = |sum_j c_j e^{-i k z_j}|, steady state = 1.
 
     Removing the drive phase makes atoms excited in phase with the laser add
-    coherently, so the single-atom limit reduces to 1 - exp(-t/2).  When the
-    coupling and drive are provided the normalization uses the exact steady
-    state from a linear solve; otherwise the final sample is used.
+    coherently, so the single-atom limit reduces to 1 - exp(-t/2).  The
+    normalization is the exact steady state H^{-1}(-i Omega_vec), from a
+    linear solve.
     """
     phase = np.exp(-1j * K_A * realization.positions[:, 2])
     raw = np.abs(state.amplitudes @ phase)
-    if coupling is not None and omega_vec is not None:
-        c_ss = np.linalg.solve(coupling.matrix, -1j * np.asarray(omega_vec))
-        steady = float(np.abs(c_ss @ phase))
-    else:
-        steady = float(raw[-1])
-    n = realization.atom_count
-    amp = float(np.max(np.abs(omega_vec))) if omega_vec is not None else 1.0
-    if steady < 1e-15 * n * amp:
+    steady = float(np.abs(np.linalg.solve(h, -1j * np.asarray(omega_vec)) @ phase))
+    if steady < 1e-15 * realization.atom_count * float(np.max(np.abs(omega_vec))):
         raise DomainError("steady-state dipole too small to normalize against")
     return DipoleTrace(t_points=state.t_points, p_normalized=raw / steady,
                        steady_state_raw=steady)
@@ -328,7 +286,7 @@ def realization_spectrum(config: EnsembleConfig, seed: int,
                          mode: str = "vectorial") -> RealizationSpectrum:
     """Sample one realization and diagonalize its undephased H0 once."""
     realization = sample_positions(config, seed)
-    h0 = build_coupling_matrix(realization, gamma_dd=0.0, mode=mode).matrix
+    h0 = build_coupling_matrix(realization, gamma_dd=0.0, mode=mode)
     lam0, q = np.linalg.eigh(h0)
     kz = K_A * realization.positions[:, 2]
     proj = q.T @ np.stack([np.cos(kz), np.sin(kz)], axis=1)
@@ -337,21 +295,20 @@ def realization_spectrum(config: EnsembleConfig, seed: int,
 
 
 def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude: float,
-                   t_points: np.ndarray) -> DipoleTrace | None:
+                   t_points: np.ndarray) -> DipoleTrace:
     """P(t) at one suppression S from the shared spectrum, in O(T*N).
 
     With phi_j(t) = (1 - e^{-lambda_j t})/lambda_j and
     lambda = 1/2 + S*(lambda0 - 1/2):
     raw P(t) = Omega0 |sum_j w_j phi_j(t)|, steady state Omega0 |sum_j w_j/lambda_j|
-    and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  Returns None when the
-    spectrum is not positive and well conditioned, so the caller can fall
-    back to the amplitude path.
+    and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  A spectrum that is not
+    positive has no steady state and raises DomainError.
     """
     lam0 = spectrum.lambda0
     # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
     lam = lam0 if suppression == 1.0 else 0.5 + suppression * (lam0 - 0.5)
-    if not (lam[0] > 0 and lam[-1] / lam[0] < COND_LIMIT):
-        return None
+    if not lam[0] > 0:
+        raise DomainError(f"coupling spectrum is not positive: lambda_min = {lam[0]:.3g}")
     amp = abs(amplitude)
     w = spectrum.weights
     # expm1 keeps small-lambda (deeply subradiant) modes accurate
@@ -379,8 +336,7 @@ def run_realization(config: EnsembleConfig, seed: int,
     ``spectra`` is an optional cache of RealizationSpectrum keyed by the
     geometry (seed, box, atom_count, min_pair_separation, mode); a sweep
     over the dephasing coefficient passes the same dict for every value so
-    each geometry is sampled and diagonalized once.  A spectrum that is
-    not positive or too ill conditioned falls back to evolve_closed_form.
+    each geometry is sampled and diagonalized once.
     """
     if pulse is None:
         pulse = PulseShape(kind="step")
@@ -389,17 +345,9 @@ def run_realization(config: EnsembleConfig, seed: int,
     if key not in spectra:
         spectra[key] = realization_spectrum(config, seed, mode=mode)
     spectrum = spectra[key]
-    realization = spectrum.realization
-    gamma_dd = config.gamma_dd(species)
-    t_points = np.linspace(0.0, t_max, t_samples)
-    trace = spectral_trace(spectrum, suppression_factor(gamma_dd), pulse.amplitude,
-                           t_points)
-    if trace is None:
-        coupling = build_coupling_matrix(realization, gamma_dd=gamma_dd, mode=mode)
-        omega_vec = drive_vector(realization.positions, pulse.amplitude)
-        state = evolve_closed_form(coupling, omega_vec, t_points)
-        trace = dipole_trace(state, realization, coupling=coupling, omega_vec=omega_vec)
-    return trace, realization
+    trace = spectral_trace(spectrum, suppression_factor(config.gamma_dd(species)),
+                           pulse.amplitude, np.linspace(0.0, t_max, t_samples))
+    return trace, spectrum.realization
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ DEFAULT_STEPS_PER_TAU = 200  # RK4 time steps per tau_a
 MAX_ALPHA_DZ = 0.05          # resolution guard on optical depth per z step
 
 
-class StepSizeError(ValueError):
-    """Time step outside the stable/accurate range."""
-
-
 class ResolutionError(ValueError):
     """Spatial grid too coarse for the requested optical depth."""
 
@@ -73,60 +69,6 @@ class TransmissionTrace:
     intensity_output: np.ndarray
     u_input: np.ndarray | None = None
     u_output: np.ndarray | None = None
-
-
-def evolve_density_matrix(rabi, detuning: float, dt: float, n_steps: int | None = None):
-    """Integrate the two-level Bloch equations with classical RK4.
-
-    rabi: callable t -> complex Omega (Gamma_a units), or a complex series
-    sampled at t_k = k*dt (mid-step values are linearly interpolated).
-    Starts from the ground state.  Returns (t, rho00, rho11, rho01).
-
-    The coherence damps as -(1/2 + i*detuning)*rho01; populations exchange
-    at the decay rate and through the drive term.
-    """
-    if dt <= 0 or dt > 0.1:
-        raise StepSizeError("dt must satisfy 0 < dt <= tau_a/10")
-    if callable(rabi):
-        if n_steps is None:
-            raise ValueError("n_steps is required with a callable drive")
-        om = rabi
-    else:
-        series = np.asarray(rabi, dtype=complex)
-        n_steps = len(series) - 1
-
-        def om(t):
-            x = t / dt
-            i = min(int(x), n_steps - 1)
-            frac = x - i
-            return series[i] * (1.0 - frac) + series[i + 1] * frac
-
-    t = np.arange(n_steps + 1) * dt
-    r00 = np.empty(n_steps + 1)
-    r11 = np.empty(n_steps + 1)
-    r01 = np.empty(n_steps + 1, dtype=complex)
-    y = np.array([1.0, 0.0, 0.0 + 0.0j], dtype=complex)
-    damp = 0.5 + 1j * detuning
-
-    def f(y, tt):
-        o = om(tt)
-        d00 = y[1] + 0.5j * (o * np.conj(y[2]) - np.conj(o) * y[2])
-        d11 = -y[1] + 0.5j * (np.conj(o) * y[2] - o * np.conj(y[2]))
-        d01 = -damp * y[2] + 0.5j * o * (y[1] - y[0])
-        return np.array([d00, d11, d01])
-
-    r00[0], r11[0], r01[0] = 1.0, 0.0, 0.0
-    for k in range(n_steps):
-        tt = t[k]
-        k1 = f(y, tt)
-        k2 = f(y + 0.5 * dt * k1, tt + 0.5 * dt)
-        k3 = f(y + 0.5 * dt * k2, tt + 0.5 * dt)
-        k4 = f(y + dt * k3, tt + dt)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        r00[k + 1] = y[0].real
-        r11[k + 1] = y[1].real
-        r01[k + 1] = y[2]
-    return t, r00, r11, r01
 
 
 def analytic_weak_field(t, z_over_length, sigma_ss: float, detuning: float = 0.0,

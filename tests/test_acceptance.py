@@ -131,7 +131,7 @@ def test_criterion_6_small_n_oracle():
         side = float(rng.uniform(2.0, 6.0))
         cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
         r = sample_positions(cfg, seed=int(rng.integers(0, 2**31)))
-        h = build_coupling_matrix(r).matrix
+        h = build_coupling_matrix(r)
         omega = drive_vector(r.positions, 1e-3)
         t = np.linspace(0, 8, 33)
         cf = evolve_closed_form(h, omega, t)

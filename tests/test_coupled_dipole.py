@@ -3,14 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import spherical_jn
 
-from subabsorb import coupled_dipole
 from subabsorb.core import AtomicSpecies, DomainError, EnsembleConfig, PulseShape
 from subabsorb.coupled_dipole import (DensityTooHighError, PerturbativeBoundError,
                                       build_coupling_matrix, coupling_f,
                                       dipole_trace, drive_vector, evolve_closed_form,
-                                      rk4_amplitudes, run_ensemble, run_realization,
-                                      sample_positions, suppression_factor)
+                                      realization_spectrum, rk4_amplitudes, run_ensemble,
+                                      run_realization, sample_positions, spectral_trace,
+                                      suppression_factor)
 from subabsorb.recipes import BETA_SET
 
 STEP = PulseShape(kind="step")
@@ -133,7 +135,7 @@ class TestCouplingMatrix:
         cfg = EnsembleConfig(atom_count=2, box=(5.0, 5.0, 5.0))
         r = sample_positions(cfg, seed=5)
         gamma_dd = 0.7
-        built = build_coupling_matrix(r, gamma_dd=gamma_dd).matrix
+        built = build_coupling_matrix(r, gamma_dd=gamma_dd)
         f01 = coupling_f(r.positions[0] - r.positions[1])
         s = 1.0 / (1.0 + gamma_dd**2)
         expected = np.array([[0.5, 1j * s * f01], [1j * s * f01, 0.5]])
@@ -142,7 +144,7 @@ class TestCouplingMatrix:
     def test_complex_symmetric_with_decay_diagonal(self):
         cfg = EnsembleConfig(atom_count=30, box=(6.0, 6.0, 6.0))
         r = sample_positions(cfg, seed=1)
-        h = build_coupling_matrix(r).matrix
+        h = build_coupling_matrix(r)
         np.testing.assert_allclose(h, h.T, rtol=0, atol=0)
         np.testing.assert_allclose(np.diag(h), 0.5, rtol=0, atol=0)
         assert np.all(np.isfinite(h))
@@ -150,8 +152,8 @@ class TestCouplingMatrix:
     def test_suppression_halves_at_gamma(self):
         cfg = EnsembleConfig(atom_count=10, box=(4.0, 4.0, 4.0))
         r = sample_positions(cfg, seed=2)
-        h0 = build_coupling_matrix(r, gamma_dd=0.0).matrix
-        h1 = build_coupling_matrix(r, gamma_dd=1.0).matrix
+        h0 = build_coupling_matrix(r, gamma_dd=0.0)
+        h1 = build_coupling_matrix(r, gamma_dd=1.0)
         off = ~np.eye(10, dtype=bool)
         np.testing.assert_allclose(h1[off], 0.5 * h0[off], rtol=1e-14)
         np.testing.assert_allclose(np.diag(h1), np.diag(h0), rtol=0)
@@ -159,7 +161,7 @@ class TestCouplingMatrix:
     def test_large_dephasing_decouples(self):
         cfg = EnsembleConfig(atom_count=5, box=(3.0, 3.0, 3.0))
         r = sample_positions(cfg, seed=2)
-        h = build_coupling_matrix(r, gamma_dd=1e6).matrix
+        h = build_coupling_matrix(r, gamma_dd=1e6)
         off = ~np.eye(5, dtype=bool)
         assert np.max(np.abs(h[off])) < 1e-10
 
@@ -188,7 +190,7 @@ class TestEvolution:
         side = float(rng.uniform(2.0, 6.0))
         cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
         r = sample_positions(cfg, seed=seed + 100)
-        h = build_coupling_matrix(r).matrix
+        h = build_coupling_matrix(r)
         omega = drive_vector(r.positions, 1e-3)
         t = np.linspace(0, 8, 41)
         cf = evolve_closed_form(h, omega, t)
@@ -199,7 +201,7 @@ class TestEvolution:
     def test_linearity_in_drive(self):
         cfg = EnsembleConfig(atom_count=12, box=(4.0, 4.0, 4.0))
         r = sample_positions(cfg, seed=9)
-        h = build_coupling_matrix(r).matrix
+        h = build_coupling_matrix(r)
         t = np.linspace(0, 8, 17)
         base = evolve_closed_form(h, drive_vector(r.positions, 1e-4), t)
         scaled = evolve_closed_form(h, drive_vector(r.positions, 5e-4), t)
@@ -209,7 +211,7 @@ class TestEvolution:
     def test_excitation_stays_perturbative(self):
         cfg = EnsembleConfig(atom_count=50, box=(6.0, 6.0, 6.0))
         r = sample_positions(cfg, seed=4)
-        h = build_coupling_matrix(r).matrix
+        h = build_coupling_matrix(r)
         state = evolve_closed_form(h, drive_vector(r.positions, 1e-3),
                                    np.linspace(0, 8, 61))
         assert np.max(state.excitation_norm()) < 1e-2
@@ -219,19 +221,10 @@ class TestEvolution:
         with pytest.raises(PerturbativeBoundError):
             evolve_closed_form(h, np.array([0.3 + 0.0j]), np.linspace(0, 8, 9))
 
-    def test_general_complex_matrix_path(self):
-        # non-symmetric complex matrix exercises the expm branch against RK4
-        rng = np.random.default_rng(11)
-        n = 6
-        h = 0.5 * np.eye(n) + 0.1 * (rng.normal(size=(n, n))
-                                     + 1j * rng.normal(size=(n, n)))
-        omega = 1e-3 * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        t = np.linspace(0, 6, 13)
-        cf = evolve_closed_form(h, omega, t)
-        assert cf.method == "expm"
-        rk = rk4_amplitudes(h, omega, t, substeps=200)
-        scale = np.max(np.abs(cf.amplitudes))
-        assert np.max(np.abs(cf.amplitudes - rk.amplitudes)) / scale < 1e-6
+    @pytest.mark.parametrize("h", [[[0.5 + 0.1j]], [[-0.5]]])
+    def test_closed_form_needs_real_positive_h(self, h):
+        with pytest.raises(DomainError):
+            evolve_closed_form(np.array(h), np.array([1e-3 + 0.0j]), np.linspace(0, 8, 9))
 
 
 class TestDipoleTrace:
@@ -258,7 +251,7 @@ class TestDipoleTrace:
         # every collective mode decays, so P(t) settles for a fixed realization
         cfg = EnsembleConfig(atom_count=60, box=(5.0, 5.0, 5.0))
         r = sample_positions(cfg, seed=12)
-        h = build_coupling_matrix(r).matrix
+        h = build_coupling_matrix(r)
         lam = np.linalg.eigvalsh(h.real)
         assert np.all(lam > 0)
 
@@ -318,10 +311,10 @@ class TestSharedSpectrum:
     @staticmethod
     def amplitude_path(cfg, seed, pulse=STEP):
         r = sample_positions(cfg, seed)
-        coupling = build_coupling_matrix(r, gamma_dd=cfg.gamma_dd(AtomicSpecies()))
+        h = build_coupling_matrix(r, gamma_dd=cfg.gamma_dd(AtomicSpecies()))
         omega = drive_vector(r.positions, pulse.amplitude)
-        state = evolve_closed_form(coupling, omega, np.linspace(0.0, 8.0, 161))
-        return dipole_trace(state, r, coupling=coupling, omega_vec=omega)
+        state = evolve_closed_form(h, omega, np.linspace(0.0, 8.0, 161))
+        return dipole_trace(state, r, h, omega)
 
     def test_matches_amplitude_path_for_every_beta(self):
         spectra = {}
@@ -347,29 +340,65 @@ class TestSharedSpectrum:
         assert np.array_equal(first.p_normalized, again.p_normalized)
         assert np.array_equal(first.p_normalized, alone.p_normalized)
 
-    def test_norm_guard_on_shared_path(self, monkeypatch):
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("the amplitude path ran")
-
-        monkeypatch.setattr(coupled_dipole, "evolve_closed_form", no_fallback)
+    def test_norm_guard_on_shared_path(self):
         strong = PulseShape(kind="step", amplitude=0.05)
         with pytest.raises(PerturbativeBoundError):
             run_realization(self.CFG, seed=8, pulse=strong, spectra={})
 
-    def test_ill_conditioned_spectrum_falls_back(self, monkeypatch):
-        shared, _ = run_realization(self.CFG, seed=8, pulse=STEP)
-        calls = []
-        original = coupled_dipole.evolve_closed_form
+    def test_non_positive_spectrum_raises(self):
+        spectrum = realization_spectrum(self.CFG, 8)
+        assert spectrum.lambda0[0] > 0
+        shifted = replace(spectrum, lambda0=spectrum.lambda0 - spectrum.lambda0[0] - 1e-3)
+        with pytest.raises(DomainError, match="not positive"):
+            spectral_trace(shifted, 1.0, 1e-3, np.linspace(0.0, 8.0, 161))
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
 
-        monkeypatch.setattr(coupled_dipole, "evolve_closed_form", counting)
-        # a conditioning limit of 1 rejects every spectrum, so the amplitude
-        # path runs (and itself falls back to RK4)
-        monkeypatch.setattr(coupled_dipole, "COND_LIMIT", 1.0)
-        fallback, _ = run_realization(self.CFG, seed=8, pulse=STEP)
-        assert calls == [1]
-        np.testing.assert_allclose(fallback.p_normalized, shared.p_normalized,
-                                   rtol=0, atol=1e-6)
+def reference_p_of_t(positions, suppression, t_points, mode):
+    """Normalized P(t) from cooperative decay rates, an LU steady state and
+    matrix exponentials; it shares no code with the package.
+
+    Gamma_jk = 3/2 [(1 - cos^2 th) j0(kr) + (3 cos^2 th - 1) j1(kr)/kr] with
+    th the angle between r_jk and the x polarization (th = 0 in scalar mode),
+    H = (I + S Gamma)/2, and c(t) = (I - exp(-H t)) H^{-1} b for the step
+    drive b_j = -i exp(i k z_j).
+    """
+    n = len(positions)
+    gamma = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            d = positions[j] - positions[k]
+            r = math.sqrt(d @ d)
+            kr = 2.0 * math.pi * r
+            cos2 = 1.0 if mode == "scalar" else (d[0] / r) ** 2
+            gamma[j, k] = 1.5 * ((1.0 - cos2) * spherical_jn(0, kr)
+                                 + (3.0 * cos2 - 1.0) * spherical_jn(1, kr) / kr)
+    h = 0.5 * (np.eye(n) + suppression * gamma)
+    kz = 2.0 * math.pi * positions[:, 2]
+    c_ss = scipy.linalg.lu_solve(scipy.linalg.lu_factor(h + 0j), -1j * np.exp(1j * kz))
+    readout = np.exp(-1j * kz)
+    raw = np.array([abs((c_ss - scipy.linalg.expm(-h * t) @ c_ss) @ readout)
+                    for t in t_points])
+    return raw / abs(c_ss @ readout)
+
+
+class TestSpectralOracle:
+    """spectral_trace against an evolution that shares no code with it."""
+
+    @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
+    @pytest.mark.parametrize("suppression", [1.0, 0.3, 1e-3])
+    def test_matches_reference_small_n(self, mode, suppression):
+        rng = np.random.default_rng(31)
+        t = np.linspace(0.0, 8.0, 161)
+        for seed in range(6):
+            n = int(rng.integers(2, 21))
+            side = float(rng.uniform(0.8, 3.0))
+            cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
+            spectrum = realization_spectrum(cfg, seed, mode=mode)
+            trace = spectral_trace(spectrum, suppression, 1e-3, t)
+            ref = reference_p_of_t(spectrum.realization.positions, suppression, t, mode)
+            np.testing.assert_allclose(trace.p_normalized, ref, rtol=0, atol=1e-9)
+            if suppression == 1.0:
+                solo, _ = run_realization(cfg, seed, pulse=STEP, mode=mode)
+                np.testing.assert_allclose(solo.p_normalized, ref, rtol=0, atol=1e-9)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from subabsorb.core import DomainError, PulseShape
-from subabsorb.maxwell_bloch import (ResolutionError, StepSizeError,
-                                     analytic_weak_field, evolve_density_matrix,
+from subabsorb.maxwell_bloch import (ResolutionError, analytic_weak_field,
                                      propagate_batch, propagate_pulse,
                                      simulate_transmission)
 
@@ -36,9 +35,18 @@ def exact_step_output(t, sigma_ss, detuning=0.0, n_terms=60):
     return out
 
 
+def bloch(pulse, t_max):
+    """Single-atom Bloch solution for a step drive, from a propagation through
+    zero optical depth: every z node sees the boundary drive.  Arrays are
+    indexed [z, t], with dt = tau_a/200."""
+    grid = propagate_batch([pulse], [0.0], t_max=t_max, full_grid=True)[0]
+    assert grid.t_points[1] == pytest.approx(0.005, rel=1e-12)
+    return grid.t_points, grid.rho00, grid.rho11, grid.rho01
+
+
 class TestDensityMatrix:
     def test_no_drive(self):
-        t, r00, r11, r01 = evolve_density_matrix(lambda t: 0.0, 0.0, 0.005, 400)
+        t, r00, r11, r01 = bloch(PulseShape(kind="step", amplitude=0.0), 2.0)
         assert np.all(r11 == 0.0)
         assert np.all(r01 == 0.0)
         assert np.all(r00 == 1.0)
@@ -46,7 +54,7 @@ class TestDensityMatrix:
     def test_weak_drive_matches_analytic_coherence(self):
         # rho01(t) = -i (Omega/Gamma) (1 - exp(-t/2)) for constant weak drive
         omega = 1e-3
-        t, _, _, r01 = evolve_density_matrix(lambda t: omega, 0.0, 0.005, 1600)
+        t, _, _, r01 = bloch(PulseShape(kind="step", amplitude=omega), 8.0)
         expected = -1j * omega * (1.0 - np.exp(-t / 2.0))
         scale = np.abs(expected[-1])
         assert np.max(np.abs(r01 - expected)) / scale < 1e-3
@@ -54,7 +62,9 @@ class TestDensityMatrix:
     def test_strong_drive_saturation_vs_linear_solve(self):
         # steady state of the Bloch equations from an independent 3x3 solve
         omega, delta = 1.0, 0.0
-        t, r00, r11, r01 = evolve_density_matrix(lambda t: omega, delta, 0.005, 8000)
+        with pytest.warns(UserWarning, match="weak-excitation"):
+            pulse = PulseShape(kind="step", amplitude=omega, detuning=delta)
+        t, r00, r11, r01 = bloch(pulse, 40.0)
         # unknowns (rho11, Re rho01, Im rho01); rho00 = 1 - rho11
         a = np.array([
             [-1.0, 0.0, -omega],
@@ -63,27 +73,15 @@ class TestDensityMatrix:
         ])
         rhs = np.array([0.0, 0.0, omega / 2.0])
         rho11_ss, re01, im01 = np.linalg.solve(a, rhs)
-        assert r11[-1] == pytest.approx(rho11_ss, rel=1e-6)
-        assert r01[-1].real == pytest.approx(re01, abs=1e-9)
-        assert r01[-1].imag == pytest.approx(im01, rel=1e-6)
+        for z in range(len(r11)):
+            assert r11[z, -1] == pytest.approx(rho11_ss, rel=1e-6)
+            assert r01[z, -1].real == pytest.approx(re01, abs=1e-9)
+            assert r01[z, -1].imag == pytest.approx(im01, rel=1e-6)
         assert rho11_ss == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_trace_preserved(self):
-        t, r00, r11, _ = evolve_density_matrix(lambda t: 0.05, 0.3, 0.005, 1600)
+        t, r00, r11, _ = bloch(PulseShape(kind="step", amplitude=0.05, detuning=0.3), 8.0)
         np.testing.assert_allclose(r00 + r11, 1.0, atol=1e-9)
-
-    @pytest.mark.parametrize("dt", [0.0, -0.1, 0.2])
-    def test_step_size_guard(self, dt):
-        with pytest.raises(StepSizeError):
-            evolve_density_matrix(lambda t: 0.0, 0.0, dt, 10)
-
-    def test_series_drive_matches_callable(self):
-        dt, n = 0.005, 800
-        t = np.arange(n + 1) * dt
-        series = 1e-3 * np.ones_like(t, dtype=complex)
-        _, _, _, r01_series = evolve_density_matrix(series, 0.0, dt)
-        _, _, _, r01_callable = evolve_density_matrix(lambda tt: 1e-3, 0.0, dt, n)
-        np.testing.assert_allclose(r01_series, r01_callable, atol=1e-12)
 
 
 class TestAnalyticWeakField:

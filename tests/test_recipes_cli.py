@@ -313,6 +313,30 @@ class TestCli:
         assert meta["complete"] is False
         assert meta["error"]["type"] == "PerturbativeBoundError"
 
+    def test_non_positive_spectrum_exit_code(self, tmp_path, monkeypatch):
+        original = coupled_dipole.realization_spectrum
+
+        def shifted(*args, **kwargs):
+            spectrum = original(*args, **kwargs)
+            lam0 = spectrum.lambda0 - spectrum.lambda0[0] - 1e-3
+            return coupled_dipole.RealizationSpectrum(spectrum.realization, lam0,
+                                                      spectrum.weights)
+
+        monkeypatch.setattr(coupled_dipole, "realization_spectrum", shifted)
+        cfg = {"name": "cd_negative", "model": "coupled_dipole",
+               "swept_parameter": "sigma_ss", "sweep_values": [0.5],
+               "pulse": {"kind": "step"},
+               "ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1}}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == \
+            cli.EXIT_MODEL
+        meta = json.loads((tmp_path / "runs" / "cd_negative" / "sweep_meta.json")
+                          .read_text())
+        assert meta["complete"] is False
+        assert meta["error"]["type"] == "DomainError"
+        assert "not positive" in meta["error"]["message"]
+
     def test_fit_out_in_missing_directory_fails_first(self, tmp_path, monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("the fit ran")
