@@ -235,8 +235,17 @@ def _boxes(sss_est, sini_est, b):
 
 
 def _fit_weights(u: np.ndarray) -> np.ndarray:
-    """1/u where every uncertainty is positive, unit weights otherwise."""
-    return 1.0 / u if np.all(u > 0) else np.ones_like(u)
+    """1/u where every uncertainty is positive, unit weights where all are zero.
+
+    A window that mixes zero and positive uncertainties has no chi^2 to
+    minimize, so it raises DomainError.
+    """
+    positive = u > 0
+    if np.all(positive):
+        return 1.0 / u
+    if np.any(positive):
+        raise DomainError("the fit window mixes zero and positive uncertainties")
+    return np.ones_like(u)
 
 
 def fit_rise_time(trace: OpticalDepthTrace, sigma_ss_estimate: float | None = None,
@@ -247,8 +256,9 @@ def fit_rise_time(trace: OpticalDepthTrace, sigma_ss_estimate: float | None = No
     Estimates default to the trace itself: the steady-state estimate is the
     mean over the trailing eighth of the window, the initial estimate is the
     first window sample.  The squared residuals are weighted by 1/u_sigma^2
-    when every uncertainty in the window is positive; a window with any
-    zero uncertainty is fitted with unit weights.
+    when every uncertainty in the window is positive; a window of zero
+    uncertainties (a model trace) is fitted with unit weights, and a window
+    that mixes zero and positive uncertainties raises DomainError.
     """
     t = np.asarray(trace.t_points, dtype=float)
     mask = (t >= window[0]) & (t <= window[1])
@@ -339,7 +349,8 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     A refit that does not converge, or ends with a non-finite cost or
     parameter, counts as failed; more than MAX_FAILURE_FRACTION failures
     raise FitError.  Fewer than 2 resamples raise DomainError, since they
-    give no standard deviation.
+    give no standard deviation, and so does a window that mixes zero and
+    positive uncertainties, as in fit_rise_time.
     """
     if resamples < 2:
         raise DomainError("need at least 2 resamples for a standard deviation")

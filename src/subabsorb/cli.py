@@ -8,8 +8,9 @@
 Exit codes: 0 success, 2 fit failure, 3 config error, 4 model error (a
 drive above the perturbative budget, an infeasible packing density, a
 coupling spectrum that is not positive or a value outside the model's
-domain).  A sweep that fails still writes its
-completed rows and a sweep_meta.json with complete=false and the error.
+domain, such as a fit window that mixes zero and positive uncertainties).
+A sweep that fails still writes its completed rows and a sweep_meta.json
+with complete=false and the error.
 The SUBABSORB_OUT environment variable overrides the default output
 directory (an explicit --out still wins).
 """

@@ -114,7 +114,12 @@ class PulseShape:
             )
 
     def envelope(self, t):
-        """Drive amplitude Omega(t) in Gamma_a units (array-safe, real)."""
+        """Drive amplitude Omega(t) in Gamma_a units (array-safe, real).
+
+        The ramp is amplitude * (1 + erf((t - rise_10_90) / (sqrt(2) s))) / 2,
+        with erf taken elementwise from the standard library's ``math.erf``,
+        so a ramped pulse needs no scipy.  The result has the shape of t.
+        """
         import numpy as np
 
         t = np.asarray(t, dtype=float)
@@ -123,9 +128,9 @@ class PulseShape:
         # 10-90 width of an erf ramp is 2*1.28155*s for the underlying
         # gaussian of std s
         s = self.rise_10_90 / 2.5631031310892007
-        from scipy.special import erf
-
-        return self.amplitude * 0.5 * (1.0 + erf((t - self.rise_10_90) / (math.sqrt(2.0) * s)))
+        x = (t - self.rise_10_90) / (math.sqrt(2.0) * s)
+        erf = np.asarray(np.frompyfunc(math.erf, 1, 1)(x), dtype=float)
+        return self.amplitude * 0.5 * (1.0 + erf)
 
 
 @dataclass(frozen=True)

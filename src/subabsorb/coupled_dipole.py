@@ -33,6 +33,7 @@ DEFAULT_T_MAX = 8.0
 DEFAULT_T_SAMPLES = 161           # step tau_a/20 on [0, 8]
 NORM_BUDGET = 1e-2                # perturbative bound on sum |c_j|^2
 MAX_REJECTIONS = 1_000_000
+ASSEMBLY_BLOCK = 64               # rows of H filled per coupling_f call
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 
@@ -170,17 +171,28 @@ def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.
     F is purely imaginary, so H is returned as a real float64 matrix.  The
     suppression applies to the exchange only; the diagonal decay is
     single-atom physics.
+
+    The upper triangle is filled in blocks of ASSEMBLY_BLOCK rows (each
+    block's own triangle, then the rectangle to its right), so the pair
+    temporaries hold at most ASSEMBLY_BLOCK * N pairs; H is then made
+    symmetric (F_jk = F_kj) in place.
     """
     pos = realization.positions
     n = len(pos)
+    scale = suppression_factor(gamma_dd)
     h = np.zeros((n, n))
-    if n > 1:
-        iu = np.triu_indices(n, 1)
-        r_vec = pos[iu[0]] - pos[iu[1]]
+
+    def fill(r_vec):
         f = coupling_f(r_vec, polarization=polarization, mode=mode)
-        vals = suppression_factor(gamma_dd) * (1j * f).real
-        h[iu] = vals
-        h[(iu[1], iu[0])] = vals          # F_jk = F_kj
+        return scale * (1j * f).real
+
+    for i0 in range(0, n, ASSEMBLY_BLOCK):
+        i1 = min(i0 + ASSEMBLY_BLOCK, n)
+        iu = np.triu_indices(i1 - i0, 1)
+        block = pos[i0:i1]
+        h[i0 + iu[0], i0 + iu[1]] = fill(block[iu[0]] - block[iu[1]])
+        h[i0:i1, i1:] = fill(block[:, None, :] - pos[None, i1:, :])
+    h += h.T
     np.fill_diagonal(h, 0.5)
     return h
 

@@ -217,19 +217,26 @@ class TestMonteCarloUncertainty:
         # resample i perturbs the trace with row i of one standard-normal
         # draw from default_rng(seed), and re-derives its estimates exactly
         # as a fresh fit would; a shorter run uses the first rows of a longer one
+        trace = self._noisy_trace(seed=2)
+        inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
+        t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
+        for resamples in (200, 100):
+            noise = np.random.default_rng(9).standard_normal((resamples, len(t)))
+            taus = [fit_rise_time(make_trace(t, y + row * u, u)).tau for row in noise]
+            assert monte_carlo_uncertainty(trace, resamples=resamples, seed=9) == \
+                pytest.approx(np.std(taus, ddof=1), rel=1e-12)
+
+    def test_mixed_zero_and_positive_uncertainties_rejected(self):
+        # one exact point inside the window leaves no chi^2 to minimize:
+        # the direct fit and the refits both refuse the trace
         noisy = self._noisy_trace(seed=2)
-        # one exact point inside the window: fit_rise_time then uses unit
-        # weights, and so must the refits
         one_zero = noisy.u_sigma.copy()
         one_zero[50] = 0.0
-        for trace in (noisy, make_trace(noisy.t_points, noisy.sigma, one_zero)):
-            inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
-            t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
-            for resamples in (200, 100):
-                noise = np.random.default_rng(9).standard_normal((resamples, len(t)))
-                taus = [fit_rise_time(make_trace(t, y + row * u, u)).tau for row in noise]
-                assert monte_carlo_uncertainty(trace, resamples=resamples, seed=9) == \
-                    pytest.approx(np.std(taus, ddof=1), rel=1e-12)
+        trace = make_trace(noisy.t_points, noisy.sigma, one_zero)
+        with pytest.raises(DomainError, match="mixes zero and positive"):
+            fit_rise_time(trace)
+        with pytest.raises(DomainError, match="mixes zero and positive"):
+            monte_carlo_uncertainty(trace, resamples=200, seed=9)
 
     def test_doubling_uncertainties_roughly_doubles_tau_error(self):
         a = monte_carlo_uncertainty(self._noisy_trace(u_scale=1.0),

@@ -121,6 +121,34 @@ class TestPulseShape:
         assert t90 - t10 == pytest.approx(8.0 / 26.2, rel=1e-3)
         assert env[0] < 0.01
 
+    def test_ramp_matches_scipy_erf(self):
+        from scipy.special import erf
+
+        p = PulseShape(kind="smooth_ramp", amplitude=1e-3)
+        s = p.rise_10_90 / 2.5631031310892007
+        # both tails and the ramp, in units of the erf argument
+        x = np.linspace(-7.0, 7.0, 14001)
+        t = p.rise_10_90 + math.sqrt(2.0) * s * x
+        reference = p.amplitude * 0.5 * (1.0 + erf(x))
+        # on the amplitude's scale: in the lower tail 1 + erf(x) cancels, so
+        # one ulp of erf there is far more than 1e-15 of the tiny envelope
+        np.testing.assert_allclose(p.envelope(t), reference, rtol=1e-15,
+                                   atol=1e-15 * p.amplitude)
+
+    def test_ramp_is_half_amplitude_at_rise(self):
+        p = PulseShape(kind="smooth_ramp", amplitude=3e-3, rise_10_90=0.4)
+        assert p.envelope(p.rise_10_90) == p.amplitude / 2
+
+    def test_envelope_keeps_input_shape(self):
+        for kind in ("step", "smooth_ramp"):
+            p = PulseShape(kind=kind)
+            assert np.shape(p.envelope(0.3)) == ()
+            grid = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
+            env = p.envelope(grid)
+            assert env.shape == (3, 4) and env.dtype == np.float64
+            np.testing.assert_array_equal(env.ravel(), p.envelope(grid.ravel()))
+            assert p.envelope(grid[1, 2]) == env[1, 2]
+
     def test_strong_drive_warns(self):
         with pytest.warns(UserWarning):
             PulseShape(kind="step", amplitude=0.5)

@@ -158,6 +158,25 @@ class TestCouplingMatrix:
         np.testing.assert_allclose(h1[off], 0.5 * h0[off], rtol=1e-14)
         np.testing.assert_allclose(np.diag(h1), np.diag(h0), rtol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 200])
+    @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
+    def test_blocked_assembly_matches_all_pairs_reference(self, n, mode):
+        # reference: every pair at once through triu_indices, mirrored
+        cfg = EnsembleConfig(atom_count=n, box=(5.0, 5.0, 5.0))
+        r = sample_positions(cfg, seed=4)
+        for gamma_dd in (0.0, 0.7):
+            pos = r.positions
+            expected = np.zeros((n, n))
+            iu = np.triu_indices(n, 1)
+            f = coupling_f(pos[iu[0]] - pos[iu[1]], mode=mode)
+            vals = suppression_factor(gamma_dd) * (1j * f).real
+            expected[iu] = vals
+            expected[(iu[1], iu[0])] = vals
+            np.fill_diagonal(expected, 0.5)
+            built = build_coupling_matrix(r, gamma_dd=gamma_dd, mode=mode)
+            assert built.dtype == np.float64
+            np.testing.assert_array_equal(built, expected)
+
     def test_large_dephasing_decouples(self):
         cfg = EnsembleConfig(atom_count=5, box=(3.0, 3.0, 3.0))
         r = sample_positions(cfg, seed=2)

@@ -1,6 +1,7 @@
 import json
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ def counting_batches(monkeypatch):
 
     monkeypatch.setattr(maxwell_bloch, "propagate_batch", counting)
     return rows_per_call
+
+
+def write_rise_csv(path, u_sigma):
+    """A noiseless 60-point sigma(t) rise over [0, 8] tau_a, with these uncertainties."""
+    t_ns = np.linspace(0, 8 * 26.2, 60)
+    with open(path, "w") as fh:
+        fh.write("t_ns,sigma,u_sigma\n")
+        for a, u in zip(t_ns, np.broadcast_to(u_sigma, t_ns.shape)):
+            fh.write(f"{a:.10g},{0.3 * (1 - np.exp(-a / 52.4)):.12g},{u}\n")
 
 
 def read_bytes(path):
@@ -379,17 +389,53 @@ class TestCli:
         assert cli.main(["fit", str(path), "--resamples", "10"]) == 0
 
     def test_fit_too_few_resamples_exit_code(self, tmp_path):
-        t_ns = np.linspace(0, 8 * 26.2, 60)
         path = tmp_path / "trace.csv"
-        with open(path, "w") as fh:
-            fh.write("t_ns,sigma,u_sigma\n")
-            for a in t_ns:
-                fh.write(f"{a:.10g},{0.3 * (1 - np.exp(-a / 52.4)):.12g},0.005\n")
+        write_rise_csv(path, 0.005)
         for resamples in ("1", "-3"):
             out = tmp_path / f"fit{resamples}.json"
             assert cli.main(["fit", str(path), "--resamples", resamples,
                              "--out", str(out)]) == cli.EXIT_MODEL
             assert not out.exists()
+
+    def test_fit_mixed_zero_uncertainty_exit_code(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        u_sigma = np.full(60, 0.005)
+        u_sigma[30] = 0.0
+        write_rise_csv(path, u_sigma)
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", str(path), "--resamples", "200",
+                         "--out", str(out)]) == cli.EXIT_MODEL
+        assert not out.exists()
+
+    def test_runs_and_fits_load_no_scipy_special_or_linalg(self, tmp_path):
+        # a fresh interpreter, so modules imported by other tests do not count
+        mb = {"name": "ramp_mb", "model": "maxwell_bloch",
+              "swept_parameter": "sigma_ss", "sweep_values": [0.2],
+              "pulse": {"kind": "smooth_ramp"}}
+        cd = {"name": "cd64", "model": "coupled_dipole",
+              "swept_parameter": "sigma_ss", "sweep_values": [0.5],
+              "ensemble": {"atom_count": 64, "rng_seed": 3, "realization_count": 1}}
+        (tmp_path / "mb.json").write_text(json.dumps(mb))
+        (tmp_path / "cd.json").write_text(json.dumps(cd))
+        write_rise_csv(tmp_path / "trace.csv", 0.005)
+        script = (
+            "import sys\n"
+            "from subabsorb import cli\n"
+            "out = sys.argv[1]\n"
+            "codes = [cli.main(['run', out + '/mb.json', '--out', out + '/runs']),\n"
+            "         cli.main(['run', out + '/cd.json', '--out', out + '/runs']),\n"
+            "         cli.main(['fit', out + '/trace.csv', '--resamples', '200'])]\n"
+            "loaded = [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules]\n"
+            "print('RESULT', codes, loaded)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = [line for line in proc.stdout.splitlines() if line.startswith("RESULT")]
+        assert result == ["RESULT [0, 0, 0] []"]
+        assert (tmp_path / "runs" / "ramp_mb" / "sweep.csv").exists()
+        assert (tmp_path / "runs" / "cd64" / "sweep.csv").exists()
 
     def test_fit_missing_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
