@@ -52,9 +52,6 @@ class OpticalDepthTrace:
     sigma: np.ndarray
     u_sigma: np.ndarray
 
-    def has_uncertainties(self) -> bool:
-        return bool(np.any(self.u_sigma > 0))
-
 
 @dataclass(frozen=True)
 class RiseTimeFit:
@@ -344,8 +341,9 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     by u_sigma, to the T window points, so the first R rows of a longer run
     are the R-resample run.  Estimates and weights are derived from each
     perturbed trace exactly as fit_rise_time derives them.  Returns the
-    standard deviation of the tau sample.  Zero-uncertainty traces return 0
-    without refitting.
+    standard deviation of the tau sample.  A trace with no positive
+    uncertainty inside the window returns exactly 0 without refitting,
+    whatever the uncertainties outside it.
     A refit that does not converge, or ends with a non-finite cost or
     parameter, counts as failed; more than MAX_FAILURE_FRACTION failures
     raise FitError.  Fewer than 2 resamples raise DomainError, since they
@@ -354,13 +352,13 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     """
     if resamples < 2:
         raise DomainError("need at least 2 resamples for a standard deviation")
-    if not trace.has_uncertainties():
-        return 0.0
     t = np.asarray(trace.t_points, dtype=float)
     mask = (t >= window[0]) & (t <= window[1])
+    uw = np.asarray(trace.u_sigma, dtype=float)[mask]
+    if not np.any(uw > 0):
+        return 0.0
     tw = t[mask]
     yw = np.asarray(trace.sigma, dtype=float)[mask]
-    uw = np.asarray(trace.u_sigma, dtype=float)[mask]
     w = _fit_weights(uw)
 
     pert = yw[None, :] + (np.random.default_rng(seed).standard_normal((resamples, len(tw)))

@@ -123,6 +123,8 @@ def cmd_fit(args) -> int:
         "sigma_init": fit.sigma_init,
         "sigma_ss_fit": fit.sigma_ss_fit,
         "chi2_reduced": fit.reduced_chi_squared,
+        "n_iterations": fit.n_iterations,
+        "bound_saturated": fit.bound_saturated,
         "window": [w * species.excited_lifetime_ns for w in fit.fit_window],
         "seed": args.seed,
     }

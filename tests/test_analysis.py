@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from subabsorb import analysis
 from subabsorb.analysis import (FIT_WINDOW, TAU_INITIAL, DegenerateTraceError,
                                 FitError, OpticalDepthTrace, _boxes,
                                 _default_estimates, _lm_batch, fit_rise_time,
@@ -206,6 +207,19 @@ class TestMonteCarloUncertainty:
         t = np.linspace(0, 8, 105)
         trace = make_trace(t, exponential_truth(t))
         assert monte_carlo_uncertainty(trace, resamples=100, seed=0) == 0.0
+
+    def test_uncertainties_outside_the_window_do_not_refit(self, monkeypatch):
+        # zero u_sigma on the fit window [1, 8], positive only beyond it: the
+        # window carries no noise, so the result is exactly 0 with no refit
+        t = np.linspace(0, 9, 120)
+        u = np.where(t > FIT_WINDOW[1], 0.006, 0.0)
+        trace = make_trace(t, exponential_truth(t), u)
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("refitted a window without uncertainties")
+
+        monkeypatch.setattr(analysis, "_lm_batch", no_refit)
+        assert monte_carlo_uncertainty(trace, resamples=10_000, seed=0) == 0.0
 
     def test_reproducible_to_three_figures(self):
         trace = self._noisy_trace()

@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg
 from scipy.special import spherical_jn
 
+from subabsorb import coupled_dipole
 from subabsorb.core import AtomicSpecies, DomainError, EnsembleConfig, PulseShape
-from subabsorb.coupled_dipole import (DensityTooHighError, PerturbativeBoundError,
+from subabsorb.coupled_dipole import (SAMPLE_BLOCK, DensityTooHighError,
+                                      PerturbativeBoundError,
                                       build_coupling_matrix, coupling_f,
                                       dipole_trace, drive_vector, evolve_closed_form,
                                       realization_spectrum, rk4_amplitudes, run_ensemble,
@@ -40,7 +42,30 @@ def vec_at(theta, kr):
     return np.array([math.cos(theta), math.sin(theta), 0.0]) * r
 
 
+def textbook_coupling_f(r_vec, mode="vectorial"):
+    """F for separation vectors r_vec (..., 3) as the formula reads, x polarization.
+
+    Complex throughout, with the separation taken from an np.sum over the
+    last axis; the package's real, per-component kernel must give the same
+    bits.
+    """
+    r = np.sqrt(np.sum(r_vec**2, axis=-1))
+    kr = 2.0 * math.pi * r
+    cos2 = np.ones_like(r) if mode == "scalar" else (r_vec[..., 0] / r) ** 2
+    near = (np.cos(kr) / kr**2 - np.sin(kr) / kr**3) * (1.0 - 3.0 * cos2)
+    return -0.75j * (np.sin(kr) * (1.0 - cos2) / kr + near)
+
+
 class TestCouplingF:
+    def test_matches_textbook_expression_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=(4000, 3)) * rng.uniform(0.01, 30.0, size=(4000, 1))
+        for mode in ("vectorial", "scalar"):
+            np.testing.assert_array_equal(coupling_f(v, mode=mode),
+                                          textbook_coupling_f(v, mode=mode))
+            np.testing.assert_array_equal(coupling_f(v.reshape(40, 100, 3), mode=mode),
+                                          textbook_coupling_f(v, mode=mode).reshape(40, 100))
+
     @pytest.mark.parametrize("theta,kr,expected", GOLDEN_COUPLING)
     def test_golden_table(self, theta, kr, expected):
         f = coupling_f(vec_at(theta, kr))
@@ -76,7 +101,83 @@ class TestCouplingF:
             coupling_f(np.array([0.01, 0.0, 0.0]), min_separation=0.05)
 
 
+def reference_sample_positions(config, seed):
+    """Sequential insertion, one candidate per draw: the sampler that
+    sample_positions reproduces bit for bit.
+
+    Returns the positions, the minimum pair distance and the longest run of
+    consecutive rejections; past MAX_REJECTIONS consecutive rejections it
+    raises as sample_positions does.
+    """
+    n = config.atom_count
+    rng = np.random.default_rng(seed)
+    box = np.asarray(config.box)
+    r_min2 = config.min_pair_separation**2
+    pts = np.empty((n, 3))
+    count = rejections = longest = 0
+    min_d2 = math.inf
+    while count < n:
+        cand = rng.uniform(0.0, 1.0, size=3) * box
+        if count:
+            d2 = float(np.min(np.sum((pts[:count] - cand) ** 2, axis=1)))
+            if d2 < r_min2:
+                rejections += 1
+                longest = max(longest, rejections)
+                if rejections > coupled_dipole.MAX_REJECTIONS:
+                    raise DensityTooHighError(
+                        "pair-exclusion rejection sampling did not terminate")
+                continue
+            min_d2 = min(min_d2, d2)
+        pts[count] = cand
+        count += 1
+        rejections = 0
+    return pts, math.sqrt(min_d2), longest
+
+
+# (atom_count, box side, r_min): dilute; dense, with rejection runs longer
+# than several blocks; the first block clashing with itself (134 to 175 of its pairs
+# are closer than r_min, for each seed); no exclusion; N = 1 and 2; an N that is not a
+# multiple of the draw block
+SAMPLER_CASES = [(500, 12.0, 0.05), (80, 1.0, 0.22), (30, 1.0, 0.3), (40, 2.0, 0.0),
+                 (1, 5.0, 0.05), (2, 0.5, 0.3), (3 * SAMPLE_BLOCK + 5, 3.0, 0.3)]
+
+
 class TestSampler:
+    @pytest.mark.parametrize("n,side,r_min", SAMPLER_CASES)
+    def test_matches_sequential_reference(self, n, side, r_min):
+        cfg = EnsembleConfig(atom_count=n, box=(side, side, side),
+                             min_pair_separation=r_min)
+        for seed in (0, 3, 11):
+            ref_pos, ref_min, _ = reference_sample_positions(cfg, seed)
+            r = sample_positions(cfg, seed)
+            np.testing.assert_array_equal(r.positions, ref_pos)
+            assert r.min_pair_distance == ref_min
+            assert r.positions.flags.c_contiguous
+
+    def test_rejection_limit_aborts_like_sequential_sampling(self, monkeypatch):
+        # feasible but crowded: the longest run of consecutive rejections
+        # covers whole blocks; one below it aborts, it itself does not
+        cfg = EnsembleConfig(atom_count=80, box=(1.0, 1.0, 1.0), min_pair_separation=0.22)
+        ref_pos, _, longest = reference_sample_positions(cfg, 3)
+        assert longest > 2 * SAMPLE_BLOCK
+        for limit in (5, longest - 1):
+            monkeypatch.setattr(coupled_dipole, "MAX_REJECTIONS", limit)
+            with pytest.raises(DensityTooHighError, match="did not terminate"):
+                sample_positions(cfg, 3)
+        monkeypatch.setattr(coupled_dipole, "MAX_REJECTIONS", longest)
+        np.testing.assert_array_equal(sample_positions(cfg, 3).positions, ref_pos)
+
+    def test_jammed_packing_aborts(self, monkeypatch):
+        # within the volume bound, but random insertion jams at 9 atoms (for
+        # seed 0 the ninth comes after 5682 rejections, and no tenth in the
+        # next 2.9*10^5 draws): no acceptance ends the run, the limit alone
+        # stops it
+        cfg = EnsembleConfig(atom_count=10, box=(1.0, 1.0, 1.0), min_pair_separation=0.6)
+        monkeypatch.setattr(coupled_dipole, "MAX_REJECTIONS", 20_000)
+        for sampler in (reference_sample_positions, sample_positions):
+            with pytest.raises(DensityTooHighError, match="did not terminate"):
+                sampler(cfg, 0)
+
     def test_single_atom(self):
         cfg = EnsembleConfig(atom_count=1, box=(5.0, 5.0, 5.0))
         r = sample_positions(cfg, seed=3)
@@ -161,21 +262,23 @@ class TestCouplingMatrix:
     @pytest.mark.parametrize("n", [1, 2, 64, 65, 200])
     @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
     def test_blocked_assembly_matches_all_pairs_reference(self, n, mode):
-        # reference: every pair at once through triu_indices, mirrored
+        # references: every pair at once through triu_indices, mirrored, from
+        # coupling_f and from the textbook expression written out below
         cfg = EnsembleConfig(atom_count=n, box=(5.0, 5.0, 5.0))
         r = sample_positions(cfg, seed=4)
+        pos = r.positions
+        iu = np.triu_indices(n, 1)
         for gamma_dd in (0.0, 0.7):
-            pos = r.positions
-            expected = np.zeros((n, n))
-            iu = np.triu_indices(n, 1)
-            f = coupling_f(pos[iu[0]] - pos[iu[1]], mode=mode)
-            vals = suppression_factor(gamma_dd) * (1j * f).real
-            expected[iu] = vals
-            expected[(iu[1], iu[0])] = vals
-            np.fill_diagonal(expected, 0.5)
             built = build_coupling_matrix(r, gamma_dd=gamma_dd, mode=mode)
             assert built.dtype == np.float64
-            np.testing.assert_array_equal(built, expected)
+            for coupling in (coupling_f, textbook_coupling_f):
+                expected = np.zeros((n, n))
+                f = coupling(pos[iu[0]] - pos[iu[1]], mode=mode)
+                vals = suppression_factor(gamma_dd) * (1j * f).real
+                expected[iu] = vals
+                expected[(iu[1], iu[0])] = vals
+                np.fill_diagonal(expected, 0.5)
+                np.testing.assert_array_equal(built, expected)
 
     def test_large_dephasing_decouples(self):
         cfg = EnsembleConfig(atom_count=5, box=(3.0, 3.0, 3.0))

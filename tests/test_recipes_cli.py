@@ -373,8 +373,13 @@ class TestCli:
         assert code == 0
         record = json.loads((tmp_path / "fit.json").read_text())
         assert set(record) == {"tau_ns", "tau_err_ns", "sigma_init", "sigma_ss_fit",
-                               "chi2_reduced", "window", "seed"}
+                               "chi2_reduced", "n_iterations", "bound_saturated",
+                               "window", "seed"}
         assert record["tau_ns"] == pytest.approx(52.4, rel=0.1)
+        # the direct fit's own convergence record, as fit_rise_time returns it
+        direct = analysis.fit_rise_time(cli._read_trace_csv(str(path), 26.2))
+        assert record["n_iterations"] == direct.n_iterations > 0
+        assert record["bound_saturated"] is direct.bound_saturated is False
         assert record["tau_err_ns"] > 0
         assert record["window"] == [26.2, 8 * 26.2]
 
