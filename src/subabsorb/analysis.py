@@ -9,13 +9,15 @@ with s_init and s_ss box-constrained to +-5% of their estimates (the
 initial and steady-state optical depths are only known to that level) and
 tau bounded to [tau_a/10, 20 tau_a].  The optimizer is a damped
 least-squares (Levenberg-Marquardt) iteration started at tau = 2 tau_a,
-implemented batched so that thousands of Monte-Carlo refits run as one
-vectorized pass.
+implemented batched.  Every fit goes through one core, which derives the
+estimates, boxes and start of each row: fit_rise_times fits a stack of
+traces (a sweep point's realizations) in one pass, and the thousands of
+Monte-Carlo refits run as one more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -213,12 +215,6 @@ def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
     return p, cost, iterations, converged
 
 
-def _default_estimates(t, y, window):
-    t0, t1 = window
-    tail = t >= t1 - (t1 - t0) * TAIL_FRACTION
-    return float(np.mean(y[tail])), float(y[0])
-
-
 def _boxes(sss_est, sini_est, b):
     lo = np.empty((b, 3))
     hi = np.empty((b, 3))
@@ -232,63 +228,79 @@ def _boxes(sss_est, sini_est, b):
 
 
 def _fit_weights(u: np.ndarray) -> np.ndarray:
-    """1/u where every uncertainty is positive, unit weights where all are zero.
+    """Per row (last axis): 1/u where every uncertainty is positive, unit
+    weights where all are zero.
 
-    A window that mixes zero and positive uncertainties has no chi^2 to
+    A row that mixes zero and positive uncertainties has no chi^2 to
     minimize, so it raises DomainError.
     """
     positive = u > 0
-    if np.all(positive):
-        return 1.0 / u
-    if np.any(positive):
+    weighted = positive.all(axis=-1, keepdims=True)
+    if np.any(positive & ~weighted):
         raise DomainError("the fit window mixes zero and positive uncertainties")
-    return np.ones_like(u)
+    return np.where(weighted, 1.0 / np.where(weighted, u, 1.0), 1.0)
+
+
+def _fit_rows(t, y, u, window, sigma_ss_estimate=None):
+    """Fit every row of y (B, T) on the window samples t (T,), weighted by
+    u, (T,) or (B, T).  The tail mean is taken from a C-contiguous copy, so
+    each row's estimate is bitwise the 1-D ``np.mean`` of its tail.
+    Returns _lm_batch's (params, cost, iterations, converged) and the weights.
+    """
+    if t.size < 10:
+        raise DomainError("need at least 10 samples inside the fit window")
+    w = np.broadcast_to(_fit_weights(u), y.shape)
+    tail = t >= window[1] - (window[1] - window[0]) * TAIL_FRACTION
+    b = len(y)
+    sss_est = (np.ascontiguousarray(y[:, tail]).mean(axis=1) if sigma_ss_estimate is None
+               else np.full(b, float(sigma_ss_estimate)))
+    lo, hi = _boxes(sss_est, y[:, 0], b)
+    p0 = np.stack([sss_est, y[:, 0], np.full(b, TAU_INITIAL)], axis=1)
+    return _lm_batch(t, y, w, p0, lo, hi, t0=window[0]) + (w,)
+
+
+def fit_rise_times(traces, window: tuple[float, float] = FIT_WINDOW,
+                   sigma_ss_estimate: float | None = None) -> list[RiseTimeFit]:
+    """Weighted exponential-rise fits of traces on one time grid, in one batch.
+
+    Each trace is fitted as it would be alone.  Its steady-state estimate
+    is the mean over the trailing eighth of the window, its initial
+    estimate the first window sample.  The squared residuals are weighted
+    by 1/u_sigma^2 when every uncertainty in the trace's window is
+    positive; a window of zero uncertainties (a model trace) is fitted with
+    unit weights, and one that mixes zero and positive uncertainties raises
+    DomainError.  FitError is raised for the first trace that does not converge.
+    """
+    t = np.asarray(traces[0].t_points, dtype=float)
+    if any(not np.array_equal(tr.t_points, t) for tr in traces[1:]):
+        raise DomainError("fit_rise_times needs traces on one time grid")
+    mask = (t >= window[0]) & (t <= window[1])
+    tw = t[mask]
+    yw = np.stack([np.asarray(tr.sigma, dtype=float)[mask] for tr in traces])
+    if np.any(~np.isfinite(yw)):
+        raise DegenerateTraceError("undefined sigma inside the fit window")
+    uw = np.stack([np.asarray(tr.u_sigma, dtype=float)[mask] for tr in traces])
+    p, cost, iters, ok, w = _fit_rows(tw, yw, uw, window, sigma_ss_estimate)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise FitError(f"no convergence after {MAX_ITERATIONS} iterations",
+                       residuals=(p[i], cost[i]))
+    s_ss, s_init, tau = p[:, 0:1], p[:, 1:2], p[:, 2:3]
+    resid = s_ss - (s_ss - s_init) * np.exp(-(tw - window[0]) / tau) - yw
+    chi2 = np.sum((resid * w) ** 2, axis=1) / max(len(tw) - 3, 1)
+    rms = np.sqrt(np.mean(resid ** 2, axis=1))
+    saturated = (tau <= TAU_BOUNDS[0] * (1 + 1e-9)) | (tau >= TAU_BOUNDS[1] * (1 - 1e-9))
+    return [RiseTimeFit(tau=float(p[i, 2]), sigma_init=float(p[i, 1]),
+                        sigma_ss_fit=float(p[i, 0]), fit_window=window,
+                        residual_rms=float(rms[i]), reduced_chi_squared=float(chi2[i]),
+                        n_iterations=int(iters[i]), bound_saturated=bool(saturated[i, 0]))
+            for i in range(len(p))]
 
 
 def fit_rise_time(trace: OpticalDepthTrace, sigma_ss_estimate: float | None = None,
-                  sigma_init_estimate: float | None = None,
                   window: tuple[float, float] = FIT_WINDOW) -> RiseTimeFit:
-    """Weighted exponential-rise fit of sigma(t) over the standard window.
-
-    Estimates default to the trace itself: the steady-state estimate is the
-    mean over the trailing eighth of the window, the initial estimate is the
-    first window sample.  The squared residuals are weighted by 1/u_sigma^2
-    when every uncertainty in the window is positive; a window of zero
-    uncertainties (a model trace) is fitted with unit weights, and a window
-    that mixes zero and positive uncertainties raises DomainError.
-    """
-    t = np.asarray(trace.t_points, dtype=float)
-    mask = (t >= window[0]) & (t <= window[1])
-    if np.count_nonzero(mask) < 10:
-        raise DomainError("need at least 10 samples inside the fit window")
-    tw = t[mask]
-    yw = np.asarray(trace.sigma, dtype=float)[mask]
-    uw = np.asarray(trace.u_sigma, dtype=float)[mask]
-    if np.any(~np.isfinite(yw)):
-        raise DegenerateTraceError("undefined sigma inside the fit window")
-    w = _fit_weights(uw)
-
-    sss_def, sini_def = _default_estimates(tw, yw, window)
-    sss_est = sss_def if sigma_ss_estimate is None else float(sigma_ss_estimate)
-    sini_est = sini_def if sigma_init_estimate is None else float(sigma_init_estimate)
-
-    lo, hi = _boxes(np.array([sss_est]), np.array([sini_est]), 1)
-    p0 = np.array([[sss_est, sini_est, TAU_INITIAL]])
-    p, cost, iters, ok = _lm_batch(tw, yw[None, :], w[None, :], p0, lo, hi,
-                                   t0=window[0])
-    if not ok[0]:
-        raise FitError(f"no convergence after {MAX_ITERATIONS} iterations",
-                       residuals=(p[0], cost[0]))
-    s_ss, s_init, tau = p[0]
-    model = s_ss - (s_ss - s_init) * np.exp(-(tw - window[0]) / tau)
-    resid = model - yw
-    dof = max(len(yw) - 3, 1)
-    chi2 = float(np.sum(((resid) * w) ** 2) / dof)
-    saturated = bool(tau <= TAU_BOUNDS[0] * (1 + 1e-9) or tau >= TAU_BOUNDS[1] * (1 - 1e-9))
-    return RiseTimeFit(tau=float(tau), sigma_init=float(s_init), sigma_ss_fit=float(s_ss),
-                       fit_window=window, residual_rms=float(np.sqrt(np.mean(resid**2))),
-                       reduced_chi_squared=chi2, n_iterations=int(iters[0]),
-                       bound_saturated=saturated)
+    """fit_rise_times of this one trace."""
+    return fit_rise_times([trace], window=window, sigma_ss_estimate=sigma_ss_estimate)[0]
 
 
 def synthesize_counts(truth: OpticalDepthTrace, cycles: int, photons_per_pulse: float,
@@ -339,16 +351,18 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     All noise comes from one stream: resample i adds row i of
     ``np.random.default_rng(seed).standard_normal((resamples, T))``, scaled
     by u_sigma, to the T window points, so the first R rows of a longer run
-    are the R-resample run.  Estimates and weights are derived from each
-    perturbed trace exactly as fit_rise_time derives them.  Returns the
-    standard deviation of the tau sample.  A trace with no positive
-    uncertainty inside the window returns exactly 0 without refitting,
-    whatever the uncertainties outside it.
+    are the R-resample run.  The perturbed rows go through the same fit
+    core as fit_rise_times, weighted by the trace's own u_sigma, so each
+    refit's estimates, boxes and start are those of a direct fit of that
+    row.  Returns the standard deviation of the tau sample.  A trace with
+    no positive uncertainty inside the window returns exactly 0 without
+    refitting, whatever the uncertainties outside it.
     A refit that does not converge, or ends with a non-finite cost or
     parameter, counts as failed; more than MAX_FAILURE_FRACTION failures
     raise FitError.  Fewer than 2 resamples raise DomainError, since they
-    give no standard deviation, and so does a window that mixes zero and
-    positive uncertainties, as in fit_rise_time.
+    give no standard deviation, and so do a window of fewer than 10
+    samples and one that mixes zero and positive uncertainties, as in
+    fit_rise_times.
     """
     if resamples < 2:
         raise DomainError("need at least 2 resamples for a standard deviation")
@@ -357,27 +371,16 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     uw = np.asarray(trace.u_sigma, dtype=float)[mask]
     if not np.any(uw > 0):
         return 0.0
-    tw = t[mask]
-    yw = np.asarray(trace.sigma, dtype=float)[mask]
-    w = _fit_weights(uw)
-
-    pert = yw[None, :] + (np.random.default_rng(seed).standard_normal((resamples, len(tw)))
-                          * uw[None, :])
-
-    tail = tw >= window[1] - (window[1] - window[0]) * TAIL_FRACTION
-    sss_est = pert[:, tail].mean(axis=1)
-    sini_est = pert[:, 0]
-    lo, hi = _boxes(sss_est, sini_est, resamples)
-    p0 = np.stack([sss_est, sini_est, np.full(resamples, TAU_INITIAL)], axis=1)
-    p, cost, iters, ok = _lm_batch(tw, pert, np.broadcast_to(w, pert.shape), p0, lo, hi,
-                                   t0=window[0])
+    pert = np.random.default_rng(seed).standard_normal((resamples, len(uw)))
+    pert *= uw
+    pert += np.asarray(trace.sigma, dtype=float)[mask]
+    p, cost, _, ok, _ = _fit_rows(t[mask], pert, uw, window)
     ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
     failures = int(np.count_nonzero(~ok))
     if failures > MAX_FAILURE_FRACTION * resamples:
         raise FitError(f"{failures}/{resamples} resample fits failed; "
                        "uncertainty estimate unreliable")
-    taus = p[ok, 2]
-    return float(np.std(taus, ddof=1))
+    return float(np.std(p[ok, 2], ddof=1))
 
 
 def fit_with_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
@@ -388,11 +391,5 @@ def fit_with_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     to both.
     """
     fit = fit_rise_time(trace, **kwargs)
-    u_tau = monte_carlo_uncertainty(trace, resamples=resamples, seed=seed,
-                                    window=fit.fit_window)
-    return RiseTimeFit(tau=fit.tau, sigma_init=fit.sigma_init,
-                       sigma_ss_fit=fit.sigma_ss_fit, fit_window=fit.fit_window,
-                       residual_rms=fit.residual_rms,
-                       reduced_chi_squared=fit.reduced_chi_squared,
-                       tau_uncertainty=u_tau, n_iterations=fit.n_iterations,
-                       bound_saturated=fit.bound_saturated)
+    return replace(fit, tau_uncertainty=monte_carlo_uncertainty(
+        trace, resamples=resamples, seed=seed, window=fit.fit_window))

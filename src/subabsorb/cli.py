@@ -72,6 +72,9 @@ def _read_trace_csv(path, lifetime_ns):
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    if len(header) > data.shape[1]:
+        raise ConfigError(f"trace header names {len(header)} columns, "
+                          f"the rows hold {data.shape[1]}")
     cols = {name.strip(): data[:, i] for i, name in enumerate(header)}
     if "t_ns" not in cols:
         raise ConfigError("trace CSV needs a t_ns column")
@@ -112,6 +115,8 @@ def cmd_list() -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     species = AtomicSpecies(excited_lifetime_ns=args.lifetime_ns)
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ConfigError(f"directory of --out {args.out} does not exist")

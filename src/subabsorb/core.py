@@ -163,6 +163,8 @@ class EnsembleConfig:
             raise DomainError("dephasing coefficient must be >= 0")
         if self.realization_count < 1:
             raise DomainError("realization_count must be >= 1")
+        if self.rng_seed < 0:
+            raise DomainError("rng_seed must be >= 0")
 
     @property
     def volume(self) -> float:
@@ -264,11 +266,20 @@ def ensemble_from_dict(d: dict, species: AtomicSpecies) -> EnsembleConfig:
     )
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def load_config_dict(path) -> dict:
+    """The JSON object in ``path``; NaN, Infinity and float literals that
+    overflow (such as 1e999) raise ConfigError."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")

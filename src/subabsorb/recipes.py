@@ -134,7 +134,7 @@ def recipe_from_dict(data: dict) -> ExperimentRecipe:
             dump_grid=bool(data.get("dump_grid", False)),
             description=str(data.get("description", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad recipe config: {exc}") from exc
@@ -301,9 +301,9 @@ def _cd_point(recipe: ExperimentRecipe, value: float, side: float, beta: float,
     result = coupled_dipole.run_ensemble(config, species=recipe.species,
                                          pulse=recipe.pulse, mode=recipe.mode,
                                          spectra=spectra)
-    taus = np.asarray([
-        analysis.fit_rise_time(analysis.trace_from_dipole(tr, sigma_ss)).tau
-        for tr in result.traces])
+    fits = analysis.fit_rise_times([analysis.trace_from_dipole(tr, sigma_ss)
+                                    for tr in result.traces])
+    taus = np.asarray([fit.tau for fit in fits])
     err = taus.std(ddof=1) / math.sqrt(len(taus)) if len(taus) > 1 else 0.0
     row = SweepRow(swept_value=value, sigma_ss=sigma_ss,
                    tau_over_2tau_a=float(taus.mean() / 2.0),
@@ -362,6 +362,8 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)
     if n_real < 1:
         raise ConfigError("realizations must be >= 1")
+    if base_seed < 0:
+        raise ConfigError("seed must be >= 0")
     out_dir = str(out_dir)
     run_dir = os.path.join(out_dir, recipe.name)
     os.makedirs(run_dir, exist_ok=True)

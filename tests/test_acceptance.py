@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from subabsorb.analysis import (fit_rise_time, fit_with_uncertainty,
+from subabsorb.analysis import (fit_rise_time, fit_rise_times, fit_with_uncertainty,
                                 optical_depth_trace, synthesize_counts,
                                 trace_from_dipole, OpticalDepthTrace)
 from subabsorb.core import EnsembleConfig, PulseShape, optical_depth_from_geometry
@@ -52,8 +52,8 @@ def cd_taus(side, seed, beta=0.0, n_atoms=500, realizations=10, mode="vectorial"
                          realization_count=realizations)
     sigma_ss = optical_depth_from_geometry(cfg).sigma_ss
     result = run_ensemble(cfg, pulse=STEP, mode=mode)
-    return np.array([fit_rise_time(trace_from_dipole(tr, sigma_ss)).tau
-                     for tr in result.traces])
+    fits = fit_rise_times([trace_from_dipole(tr, sigma_ss) for tr in result.traces])
+    return np.array([fit.tau for fit in fits])
 
 
 def test_criterion_1_single_atom_rise_law():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from subabsorb import analysis
-from subabsorb.analysis import (FIT_WINDOW, TAU_INITIAL, DegenerateTraceError,
-                                FitError, OpticalDepthTrace, _boxes,
-                                _default_estimates, _lm_batch, fit_rise_time,
+from subabsorb.analysis import (FIT_WINDOW, TAIL_FRACTION, TAU_INITIAL,
+                                DegenerateTraceError, FitError, OpticalDepthTrace,
+                                _boxes, _fit_rows, fit_rise_time, fit_rise_times,
                                 fit_with_uncertainty, monte_carlo_uncertainty,
                                 optical_depth_trace, synthesize_counts,
                                 trace_from_dipole)
-from subabsorb.core import DomainError
+from subabsorb.core import DomainError, EnsembleConfig, PulseShape
 from subabsorb.maxwell_bloch import TransmissionTrace
 
 
@@ -136,6 +136,50 @@ class TestFit:
         sigma[400] = np.nan
         with pytest.raises(DegenerateTraceError):
             fit_rise_time(make_trace(t, sigma))
+
+
+class TestFitRiseTimes:
+    def test_rows_equal_single_trace_fits(self):
+        # collective traces of one dense ensemble, one of which converges an
+        # iteration early: every row of the batch is the fit of that trace
+        # alone, down to the last bit
+        from subabsorb.coupled_dipole import run_ensemble
+        cfg = EnsembleConfig(atom_count=100, box=(4.0, 4.0, 4.0), rng_seed=21,
+                             realization_count=6)
+        result = run_ensemble(cfg, pulse=PulseShape(kind="step"))
+        traces = [trace_from_dipole(tr, 0.7) for tr in result.traces]
+        fits = fit_rise_times(traces)
+        assert len(fits) == 6
+        assert len({fit.n_iterations for fit in fits}) > 1
+        for fit, trace in zip(fits, traces):
+            # every field: tau, endpoints, chi^2, rms, iterations, saturation
+            assert fit == fit_rise_time(trace)
+
+    def test_first_unconverged_trace_raises(self, monkeypatch):
+        t = np.linspace(0, 8, 201)
+        traces = [make_trace(t, exponential_truth(t, s)) for s in (0.1, 0.2, 0.3, 0.4)]
+        original = analysis._lm_batch
+
+        def two_fail(*args, **kwargs):
+            p, cost, iters, ok = original(*args, **kwargs)
+            ok[[1, 3]] = False
+            return p, cost, iters, ok
+
+        monkeypatch.setattr(analysis, "_lm_batch", two_fail)
+        with pytest.raises(FitError) as info:
+            fit_rise_times(traces)
+        # the error carries row 1's parameters, the first unconverged row
+        p_first, _ = info.value.residuals
+        monkeypatch.setattr(analysis, "_lm_batch", original)
+        fit = fit_rise_time(traces[1])
+        assert (p_first == [fit.sigma_ss_fit, fit.sigma_init, fit.tau]).all()
+
+    def test_traces_on_different_grids_rejected(self):
+        a = np.linspace(0, 8, 201)
+        b = np.linspace(0, 8.5, 201)
+        with pytest.raises(DomainError, match="one time grid"):
+            fit_rise_times([make_trace(a, exponential_truth(a)),
+                            make_trace(b, exponential_truth(b))])
 
 
 class TestSynthesizeCounts:
@@ -284,21 +328,46 @@ class TestMonteCarloUncertainty:
         t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
         n = 200
         pert = y + np.random.default_rng(11).normal(size=(n, len(t))) * u
-        w = np.tile(1.0 / u, (n, 1))
-        sss, sini = map(np.array, zip(*(_default_estimates(t, row, FIT_WINDOW)
-                                         for row in pert)))
-        lo, hi = _boxes(sss, sini, n)
-        p0 = np.stack([sss, sini, np.full(n, TAU_INITIAL)], axis=1)
-        p, cost, iters, ok = _lm_batch(t, pert, w, p0, lo, hi)
+        p, cost, iters, ok, _ = _fit_rows(t, pert, u, FIT_WINDOW)
         assert iters.min() < iters.max()
         for i in range(n):
-            one = slice(i, i + 1)
-            p1, cost1, iters1, ok1 = _lm_batch(t, pert[one], w[one], p0[one],
-                                               lo[one], hi[one])
+            p1, cost1, iters1, ok1, _ = _fit_rows(t, pert[i:i + 1], u, FIT_WINDOW)
             assert (p1[0] == p[i]).all()
             assert cost1[0] == cost[i]
             assert iters1[0] == iters[i]
             assert ok1[0] == ok[i]
+
+    def test_refit_estimates_are_the_1d_estimates_of_each_row(self, monkeypatch):
+        # the steady-state estimate of every refit, its slack boxes and its
+        # start are those a direct fit derives from that perturbed row alone:
+        # the 1-D np.mean of the row's tail, bit for bit.  A mean taken
+        # straight from the column gather of an (R, T) stack sums in another
+        # order and differs in the last bits for a fifth of these rows.
+        captured = []
+
+        def capture(t, y, w, p0, lo, hi, **kwargs):
+            captured.append((y.copy(), p0, lo, hi))
+            n = len(p0)
+            return p0.copy(), np.zeros(n), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+
+        trace = self._noisy_trace(seed=8)
+        monkeypatch.setattr(analysis, "_lm_batch", capture)
+        monte_carlo_uncertainty(trace, resamples=2000, seed=3)
+        inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
+        t = trace.t_points[inside]
+        # the same check on an F-ordered stack gathered column by column
+        rng = np.random.default_rng(4)
+        gathered = rng.standard_normal((2000, 3 * len(t)))[:, rng.permutation(3 * len(t))[:len(t)]]
+        assert not gathered.flags.c_contiguous
+        _fit_rows(t, gathered, np.zeros(len(t)), FIT_WINDOW)
+        tail = t >= FIT_WINDOW[1] - (FIT_WINDOW[1] - FIT_WINDOW[0]) * TAIL_FRACTION
+        for y, p0, lo, hi in captured:
+            sss = np.array([np.mean(row[tail]) for row in y])
+            assert np.array_equal(p0[:, 0], sss)
+            assert np.array_equal(p0[:, 1], y[:, 0])
+            assert (p0[:, 2] == TAU_INITIAL).all()
+            lo_ref, hi_ref = _boxes(sss, y[:, 0], len(y))
+            assert np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
 
     def test_failure_fraction_guard(self):
         t = np.linspace(0, 8, 105)

@@ -202,6 +202,24 @@ class TestRunRecipe:
             run_recipe(tiny_cd_recipe(), tmp_path / "runs", realizations=0)
         assert not (tmp_path / "runs").exists()
 
+    def test_negative_seed_rejected_before_output(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            run_recipe(tiny_cd_recipe(), tmp_path / "runs", seed=-40)
+        assert not (tmp_path / "runs").exists()
+
+    def test_cd_point_taus_match_per_trace_fits(self):
+        # one fit_rise_times call per point gives the taus of fitting each
+        # realization on its own
+        recipe = tiny_cd_recipe(ensemble=EnsembleConfig(atom_count=100, rng_seed=21,
+                                                        realization_count=6))
+        row, artifacts = recipes._cd_point(recipe, 4.0, 4.0, 0.0, 21, 6, {})
+        sigma_ss = artifacts["sigma_ss"]
+        taus = np.asarray([
+            analysis.fit_rise_time(analysis.trace_from_dipole(tr, sigma_ss)).tau
+            for tr in artifacts["ensemble"].traces])
+        assert row.tau_over_2tau_a == float(taus.mean() / 2.0)
+        assert row.tau_err_over_2tau_a == float(taus.std(ddof=1) / np.sqrt(6) / 2.0)
+
     def test_beta_sweep_rows_carry_inner_grid(self, tmp_path):
         recipe = ExperimentRecipe(
             name="beta2", model="coupled_dipole", swept_parameter="beta",
@@ -278,6 +296,15 @@ class TestCli:
         ({}, ["--realizations", "0"]),
         ({"swept_parameter": "box_side", "sweep_values": [20.0],
           "ensemble": {"atom_count": 0, "rng_seed": 3, "realization_count": 1}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": -3, "realization_count": 1}}, []),
+        ({}, ["--seed", "-40"]),
+        ({"sigma_ss_fixed": float("nan")}, []),
+        ({"species": {"excited_lifetime_ns": float("inf")}}, []),
+        ({"pulse": {"kind": "step", "rabi_peak_rad_per_s": float("nan")}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
+                       "beta_over_2pi_hz_cm3": float("nan")}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
+                       "min_pair_separation_um": float("nan")}}, []),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, fields, argv):
         cfg = {"name": "cd_bad", "model": "coupled_dipole",
@@ -289,6 +316,17 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "runs"
         assert cli.main(["run", str(path), "--out", str(out)] + argv) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400],
+                             ids=["float", "integer"])
+    def test_overflowing_number_fails_at_load(self, tmp_path, literal):
+        cfg = {"name": "mb_big", "model": "maxwell_bloch", "swept_parameter": "detuning",
+               "sweep_values": [0.0, 0.5], "species": {"excited_lifetime_ns": "BIG"}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg).replace('"BIG"', literal))
+        out = tmp_path / "runs"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
 
     def test_model_error_exit_code_keeps_completed_rows(self, tmp_path):
@@ -441,6 +479,22 @@ class TestCli:
         assert result == ["RESULT [0, 0, 0] []"]
         assert (tmp_path / "runs" / "ramp_mb" / "sweep.csv").exists()
         assert (tmp_path / "runs" / "cd64" / "sweep.csv").exists()
+
+    def test_fit_negative_seed_fails_before_fitting(self, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(analysis, "fit_with_uncertainty", no_fit)
+        write_rise_csv(tmp_path / "trace.csv", 0.005)
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", str(tmp_path / "trace.csv"), "--seed", "-1",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_fit_header_wider_than_rows(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_ns,sigma,u_sigma,extra\n0,0,0.1\n26.2,0.1,0.1\n")
+        assert cli.main(["fit", str(path)]) == cli.EXIT_CONFIG
 
     def test_fit_missing_columns(self, tmp_path):
         path = tmp_path / "trace.csv"
