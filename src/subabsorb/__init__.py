@@ -6,14 +6,14 @@ density-dependent dephasing) plus the rise-time extraction and
 uncertainty pipeline used to analyze both.
 """
 
-from .core import (AtomicSpecies, ConfigError, DerivedOpticalDepth, DomainError,
-                   EnsembleConfig, PulseShape, box_side_for_sigma_ss,
-                   gamma_dd_from_beta, optical_depth_from_geometry)
+from .core import (AtomicSpecies, ConfigError, DomainError, EnsembleConfig,
+                   PulseShape, box_side_for_sigma_ss, gamma_dd_from_beta,
+                   optical_depth_from_geometry)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicSpecies", "ConfigError", "DerivedOpticalDepth", "DomainError",
-    "EnsembleConfig", "PulseShape", "box_side_for_sigma_ss",
-    "gamma_dd_from_beta", "optical_depth_from_geometry", "__version__",
+    "AtomicSpecies", "ConfigError", "DomainError", "EnsembleConfig", "PulseShape",
+    "box_side_for_sigma_ss", "gamma_dd_from_beta", "optical_depth_from_geometry",
+    "__version__",
 ]

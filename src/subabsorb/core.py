@@ -42,9 +42,8 @@ class AtomicSpecies:
     """Two-level transition constants (SI anchors for unit conversion).
 
     Defaults are the D2 cycling transition of a common alkali: 26.2 ns
-    lifetime, 780 nm wavelength.  ``decay_rate * lifetime == 1`` and
-    ``wavevector * wavelength == 2*pi`` hold exactly because the rate and
-    wavevector are derived, never stored.
+    lifetime, 780 nm wavelength.  ``decay_rate * lifetime == 1`` holds
+    exactly because the rate is derived, never stored.
     """
 
     excited_lifetime_ns: float = 26.2
@@ -61,10 +60,6 @@ class AtomicSpecies:
     @property
     def decay_rate_rad_per_s(self) -> float:
         return 1.0 / self.lifetime_s
-
-    @property
-    def wavevector_rad_per_nm(self) -> float:
-        return TWO_PI / self.wavelength_nm
 
     @property
     def wavelength_cm(self) -> float:
@@ -182,19 +177,6 @@ class EnsembleConfig:
         return gamma_dd_from_beta(self.beta_over_2pi_hz_cm3, n_cm3, species)
 
 
-@dataclass(frozen=True)
-class DerivedOpticalDepth:
-    """Steady-state optical depth and the geometry it came from."""
-
-    sigma_ss: float
-    resonant_cross_section: float = RESONANT_CROSS_SECTION
-    propagation_length: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_ss < 0:
-            raise DomainError("sigma_ss must be >= 0")
-
-
 def gamma_dd_from_beta(beta_over_2pi_hz_cm3: float, density_per_cm3: float,
                        species: AtomicSpecies = AtomicSpecies()) -> float:
     """Dephasing rate gamma_DD = beta*n, returned in units of Gamma_a.
@@ -208,17 +190,13 @@ def gamma_dd_from_beta(beta_over_2pi_hz_cm3: float, density_per_cm3: float,
     return gamma_dd_rad_per_s * species.lifetime_s
 
 
-def optical_depth_from_geometry(config: EnsembleConfig) -> DerivedOpticalDepth:
-    """Map a uniform box to its on-resonance steady-state optical depth.
+def optical_depth_from_geometry(config: EnsembleConfig) -> float:
+    """On-resonance steady-state optical depth sigma_ss of a uniform box.
 
     sigma_ss = n * sigma_0 * L with sigma_0 = 3 lambda^2/(2 pi) and the
     propagation length L equal to the box side along z.
     """
-    if config.volume <= 0:
-        raise DomainError("box volume must be positive")
-    length = config.box[2]
-    sigma_ss = config.density * RESONANT_CROSS_SECTION * length
-    return DerivedOpticalDepth(sigma_ss=sigma_ss, propagation_length=length)
+    return config.density * RESONANT_CROSS_SECTION * config.box[2]
 
 
 def box_side_for_sigma_ss(sigma_ss: float, atom_count: int) -> float:

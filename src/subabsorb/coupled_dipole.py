@@ -29,14 +29,14 @@ import numpy as np
 from .core import AtomicSpecies, DomainError, EnsembleConfig, PulseShape, TWO_PI
 
 K_A = TWO_PI                      # resonant wavevector, lambda_a = 1
-DEFAULT_T_MAX = 8.0
-DEFAULT_T_SAMPLES = 161           # step tau_a/20 on [0, 8]
+#: readout grid of every collective trace: step tau_a/20 on [0, 8 tau_a],
+#: read-only because all traces share it
+T_POINTS = np.linspace(0.0, 8.0, 161)
+T_POINTS.setflags(write=False)
 NORM_BUDGET = 1e-2                # perturbative bound on sum |c_j|^2
 MAX_REJECTIONS = 1_000_000
 SAMPLE_BLOCK = 64                 # candidate positions drawn and tested together
 ASSEMBLY_BLOCK = 64               # rows of H filled per block of pair separations
-
-X_HAT = np.array([1.0, 0.0, 0.0])
 
 
 class DensityTooHighError(RuntimeError):
@@ -52,7 +52,6 @@ class EnsembleRealization:
     """One sampled atom configuration (positions in lambda_a units)."""
 
     positions: np.ndarray
-    seed_used: int
     min_pair_distance: float
 
     @property
@@ -153,22 +152,30 @@ def sample_positions(config: EnsembleConfig, seed: int) -> EnsembleRealization:
                          float(within[np.ix_(acc, acc)].min()))
         pts[:, count:count + len(acc)] = cand[:, acc]
         count += len(acc)
-    return EnsembleRealization(positions=pts.T.copy(), seed_used=seed,
-                               min_pair_distance=math.sqrt(min_d2))
+    return EnsembleRealization(positions=pts.T.copy(), min_pair_distance=math.sqrt(min_d2))
 
 
-def _exchange(dx, dy, dz, polarization=X_HAT, mode: str = "vectorial",
-              min_separation: float = 0.0) -> np.ndarray:
-    """i*F = 0.75*bracket, real, for separation component arrays (see coupling_f)."""
+def _exchange(dx, dy, dz, mode: str = "vectorial") -> np.ndarray:
+    """i*F for separation component arrays dx, dy, dz (Gamma_a units), real.
+
+    The pairwise exchange coupling is
+
+    F = -(i/2)*(3/8pi)*[4pi(1-cos^2 th)*sin(kr)/kr
+                        + 4pi(1-3cos^2 th)*(cos(kr)/(kr)^2 - sin(kr)/(kr)^3)]
+
+    with th the angle between the x polarization of the drive and the
+    separation; scalar mode fixes th = 0.  F is purely imaginary, so its
+    real counterpart i*F = 0.75*[...] is returned.  Coincident atoms raise
+    DomainError.
+    """
     r = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    if np.any(r < max(min_separation, 1e-300)):
-        raise DomainError("pair separation below the exclusion radius")
+    if np.any(r < 1e-300):
+        raise DomainError("coincident atoms: pair separation is zero")
     kr = K_A * r
     if mode == "scalar":
         cos2 = 1.0
     elif mode == "vectorial":
-        px, py, pz = polarization
-        cos2 = ((dx * px + dy * py + dz * pz) / r) ** 2
+        cos2 = (dx / r) ** 2
     else:
         raise DomainError(f"unknown coupling mode {mode!r}")
     # sin(kr) is evaluated once, into the array that becomes the bracket, so
@@ -182,23 +189,6 @@ def _exchange(dx, dy, dz, polarization=X_HAT, mode: str = "vectorial",
     return bracket
 
 
-def coupling_f(r_vec, polarization=X_HAT, mode: str = "vectorial",
-               min_separation: float = 0.0):
-    """Pairwise exchange coupling F for separation vector(s) r_vec (Gamma_a units).
-
-    F = -(i/2)*(3/8pi)*[4pi(1-cos^2 th)*sin(kr)/kr
-                        + 4pi(1-3cos^2 th)*(cos(kr)/(kr)^2 - sin(kr)/(kr)^3)]
-
-    with th the angle between the polarization axis and r_vec; scalar mode
-    fixes th = 0.  Vectorized over leading axes of r_vec.  F is purely
-    imaginary; build_coupling_matrix uses its real counterpart i*F directly.
-    """
-    r_vec = np.asarray(r_vec, dtype=float)
-    return -1j * _exchange(r_vec[..., 0], r_vec[..., 1], r_vec[..., 2],
-                           polarization=polarization, mode=mode,
-                           min_separation=min_separation)
-
-
 def suppression_factor(gamma_dd: float) -> float:
     """Lorentzian-like reduction of the exchange couplings, 1/(1+(gamma_DD)^2)."""
     if gamma_dd < 0:
@@ -207,12 +197,11 @@ def suppression_factor(gamma_dd: float) -> float:
 
 
 def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.0,
-                          mode: str = "vectorial",
-                          polarization=X_HAT) -> np.ndarray:
+                          mode: str = "vectorial") -> np.ndarray:
     """Assemble H: diagonal 1/2, off-diagonals i*S(gamma_DD)*F_jk.
 
     F is purely imaginary, so H is returned as a real float64 matrix, filled
-    with i*F from the real kernel behind coupling_f.  The suppression
+    with i*F from the real kernel _exchange.  The suppression
     applies to the exchange only; the diagonal decay is single-atom physics.
 
     Pairs are evaluated from the separation components dx, dy, dz, never as
@@ -230,7 +219,7 @@ def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.
     h = np.zeros((n, n))
 
     def fill(dx, dy, dz):
-        f = _exchange(dx, dy, dz, polarization=polarization, mode=mode)
+        f = _exchange(dx, dy, dz, mode=mode)
         f *= scale
         return f
 
@@ -393,10 +382,8 @@ def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude:
 def run_realization(config: EnsembleConfig, seed: int,
                     species: AtomicSpecies = AtomicSpecies(),
                     pulse: PulseShape | None = None, mode: str = "vectorial",
-                    t_max: float = DEFAULT_T_MAX,
-                    t_samples: int = DEFAULT_T_SAMPLES,
                     spectra: dict | None = None) -> tuple[DipoleTrace, EnsembleRealization]:
-    """One disorder realization: sample, diagonalize, reduce to P(t).
+    """One disorder realization: sample, diagonalize, reduce to P(t) on T_POINTS.
 
     ``spectra`` is an optional cache of RealizationSpectrum keyed by the
     geometry (seed, box, atom_count, min_pair_separation, mode); a sweep
@@ -411,7 +398,7 @@ def run_realization(config: EnsembleConfig, seed: int,
         spectra[key] = realization_spectrum(config, seed, mode=mode)
     spectrum = spectra[key]
     trace = spectral_trace(spectrum, suppression_factor(config.gamma_dd(species)),
-                           pulse.amplitude, np.linspace(0.0, t_max, t_samples))
+                           pulse.amplitude, T_POINTS)
     return trace, spectrum.realization
 
 
@@ -429,8 +416,6 @@ class EnsembleResult:
 
 def run_ensemble(config: EnsembleConfig, species: AtomicSpecies = AtomicSpecies(),
                  pulse: PulseShape | None = None, mode: str = "vectorial",
-                 t_max: float = DEFAULT_T_MAX,
-                 t_samples: int = DEFAULT_T_SAMPLES,
                  spectra: dict | None = None) -> EnsembleResult:
     """Average P(t) over realization_count independent realizations.
 
@@ -444,8 +429,7 @@ def run_ensemble(config: EnsembleConfig, species: AtomicSpecies = AtomicSpecies(
     realizations = []
     for s in seeds:
         trace, realization = run_realization(config, s, species=species, pulse=pulse,
-                                             mode=mode, t_max=t_max, t_samples=t_samples,
-                                             spectra=spectra)
+                                             mode=mode, spectra=spectra)
         traces.append(trace)
         realizations.append(realization)
     stack = np.stack([tr.p_normalized for tr in traces])

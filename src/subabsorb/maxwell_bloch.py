@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DerivedOpticalDepth, DomainError, PulseShape
+from .core import DomainError, PulseShape
 
 DEFAULT_T_MAX = 8.0          # tau_a units
 DEFAULT_STEPS_PER_TAU = 200  # RK4 time steps per tau_a
@@ -33,10 +33,9 @@ class ResolutionError(ValueError):
 class FieldGrid:
     """Space-time samples of the drive field and density-matrix elements.
 
-    Arrays are indexed [z, t].  z_points spans [0, L] (lambda_a units when a
-    physical length is known, else L = 1), t_points spans [0, t_max] in
-    tau_a units.  A grid from propagate_batch without ``full_grid`` holds
-    only the two planes z = 0 and z = L.
+    Arrays are indexed [z, t].  z_points is zeta = z/L on [0, 1] and
+    t_points spans [0, t_max] in tau_a units.  A grid from propagate_batch
+    without ``full_grid`` holds only the two planes zeta = 0 and zeta = 1.
     """
 
     z_points: np.ndarray
@@ -87,16 +86,6 @@ def analytic_weak_field(t, z_over_length, sigma_ss: float, detuning: float = 0.0
     return omega_in * np.exp(exponent)
 
 
-def _resolve_depth(depth) -> tuple[float, float]:
-    if isinstance(depth, DerivedOpticalDepth):
-        length = depth.propagation_length if depth.propagation_length > 0 else 1.0
-        return depth.sigma_ss, length
-    sigma_ss = float(depth)
-    if sigma_ss < 0:
-        raise DomainError("sigma_ss must be >= 0")
-    return sigma_ss, 1.0
-
-
 def default_z_steps(sigma_ss: float) -> int:
     return max(50, math.ceil(20.0 * sigma_ss))
 
@@ -127,17 +116,19 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
     envelope and optical depth are per row.  Every row is advanced by the
     same elementwise arithmetic as a batch of one, so its grid does not
     depend on which other rows share the batch.  Without ``full_grid`` the
-    returned grids hold only the z = 0 and z = L planes, which is all that
-    transmission_from_grid reads.
+    returned grids hold only the zeta = 0 and zeta = 1 planes, which is all
+    that transmission_from_grid reads.  A depth is the optical depth sigma_ss.
     """
-    resolved = [_resolve_depth(d) for d in depths]
-    steps = {default_z_steps(s) if z_steps is None else z_steps for s, _ in resolved}
+    sigmas = [float(d) for d in depths]
+    if any(s < 0 for s in sigmas):
+        raise DomainError("sigma_ss must be >= 0")
+    steps = {default_z_steps(s) if z_steps is None else z_steps for s in sigmas}
     if len(steps) != 1:
         raise ResolutionError("rows of one batch need the same number of z steps")
     z_steps = steps.pop()
     if z_steps < 1:
         raise ResolutionError("need at least one z step")
-    for sigma_ss, _ in resolved:
+    for sigma_ss in sigmas:
         if sigma_ss / z_steps > MAX_ALPHA_DZ:
             raise ResolutionError(
                 f"alpha*dz = {sigma_ss / z_steps:.3g} > {MAX_ALPHA_DZ}; "
@@ -148,12 +139,12 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
     dt = t[1] - t[0]
     nz = z_steps + 1
     half_dz = 0.5 * (1.0 / z_steps)         # zeta = z/L
-    rows = len(resolved)
+    rows = len(sigmas)
     recorded = slice(None) if full_grid else slice(None, None, z_steps)
 
     # per-row constants, shaped (rows, 1) to broadcast along z
     neg_damp = np.array([[-(0.5 + 1j * p.detuning)] for p in pulses])
-    i_half_alpha = np.array([[1j * (0.5 * s)] for s, _ in resolved])
+    i_half_alpha = np.array([[1j * (0.5 * s)] for s in sigmas])
     # boundary drive per time level and row, at t_k and at the RK4 midpoints,
     # held complex so that no stage casts it
     boundary = np.stack([p.envelope(t) for p in pulses], axis=1)[:, :, None] + 0j
@@ -209,9 +200,9 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
         pop[..., k + 1] = y[:2, :, recorded].real
         coh[..., k + 1] = y[2, :, recorded]
 
-    return [FieldGrid(z_points=zeta * length, t_points=t, rabi=rabi[b],
+    return [FieldGrid(z_points=zeta, t_points=t, rabi=rabi[b],
                       rho00=pop[0, b], rho11=pop[1, b], rho01=coh[b], sigma_ss=sigma_ss)
-            for b, (sigma_ss, length) in enumerate(resolved)]
+            for b, sigma_ss in enumerate(sigmas)]
 
 
 def simulate_transmission(pulse: PulseShape, depth, t_max: float = DEFAULT_T_MAX,

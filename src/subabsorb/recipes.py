@@ -18,7 +18,6 @@ import subprocess
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
 
 from . import __version__, analysis, coupled_dipole, maxwell_bloch
 from .core import (AtomicSpecies, ConfigError, DomainError, EnsembleConfig,
@@ -61,6 +60,11 @@ class ExperimentRecipe:
     description: str = ""
 
     def __post_init__(self):
+        # the name is the run directory under --out, so it must not leave it
+        if self.name in ("", ".", "..") or os.path.split(self.name) != ("", self.name):
+            raise ConfigError(f"recipe name {self.name!r} is not one plain path component")
+        if self.mode not in ("vectorial", "scalar"):
+            raise ConfigError(f"unknown coupling mode {self.mode!r}")
         if self.model not in MODEL_PARAMETERS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.swept_parameter not in MODEL_PARAMETERS[self.model]:
@@ -297,7 +301,7 @@ def _cd_point(recipe: ExperimentRecipe, value: float, side: float, beta: float,
     """
     config = replace(recipe.ensemble, box=(side, side, side), rng_seed=seed,
                      realization_count=realizations, beta_over_2pi_hz_cm3=beta)
-    sigma_ss = optical_depth_from_geometry(config).sigma_ss
+    sigma_ss = optical_depth_from_geometry(config)
     result = coupled_dipole.run_ensemble(config, species=recipe.species,
                                          pulse=recipe.pulse, mode=recipe.mode,
                                          spectra=spectra)
@@ -412,7 +416,7 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
         "config_hash": _config_hash(recipe),
         "git_hash": _git_hash(),
         "versions": {"subabsorb": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__, "blas": _blas_build()},
+                     "blas": _blas_build()},
         "base_seed": base_seed,
         "realizations": n_real,
         "complete": complete,

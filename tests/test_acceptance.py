@@ -50,7 +50,7 @@ def cd_taus(side, seed, beta=0.0, n_atoms=500, realizations=10, mode="vectorial"
     cfg = EnsembleConfig(atom_count=n_atoms, box=(side, side, side),
                          beta_over_2pi_hz_cm3=beta, rng_seed=seed,
                          realization_count=realizations)
-    sigma_ss = optical_depth_from_geometry(cfg).sigma_ss
+    sigma_ss = optical_depth_from_geometry(cfg)
     result = run_ensemble(cfg, pulse=STEP, mode=mode)
     fits = fit_rise_times([trace_from_dipole(tr, sigma_ss) for tr in result.traces])
     return np.array([fit.tau for fit in fits])

@@ -9,8 +9,8 @@ from scipy.special import spherical_jn
 from subabsorb import coupled_dipole
 from subabsorb.core import AtomicSpecies, DomainError, EnsembleConfig, PulseShape
 from subabsorb.coupled_dipole import (SAMPLE_BLOCK, DensityTooHighError,
-                                      PerturbativeBoundError,
-                                      build_coupling_matrix, coupling_f,
+                                      EnsembleRealization, PerturbativeBoundError,
+                                      _exchange, build_coupling_matrix,
                                       dipole_trace, drive_vector, evolve_closed_form,
                                       realization_spectrum, rk4_amplitudes, run_ensemble,
                                       run_realization, sample_positions, spectral_trace,
@@ -56,49 +56,53 @@ def textbook_coupling_f(r_vec, mode="vectorial"):
     return -0.75j * (np.sin(kr) * (1.0 - cos2) / kr + near)
 
 
+def exchange(r_vec, mode="vectorial"):
+    """The package's kernel i*F on the components of separation vectors (..., 3)."""
+    return _exchange(r_vec[..., 0], r_vec[..., 1], r_vec[..., 2], mode=mode)
+
+
 class TestCouplingF:
     def test_matches_textbook_expression_bit_for_bit(self):
         rng = np.random.default_rng(8)
         v = rng.normal(size=(4000, 3)) * rng.uniform(0.01, 30.0, size=(4000, 1))
         for mode in ("vectorial", "scalar"):
-            np.testing.assert_array_equal(coupling_f(v, mode=mode),
-                                          textbook_coupling_f(v, mode=mode))
-            np.testing.assert_array_equal(coupling_f(v.reshape(40, 100, 3), mode=mode),
-                                          textbook_coupling_f(v, mode=mode).reshape(40, 100))
+            expected = (1j * textbook_coupling_f(v, mode=mode)).real
+            np.testing.assert_array_equal(exchange(v, mode=mode), expected)
+            np.testing.assert_array_equal(exchange(v.reshape(40, 100, 3), mode=mode),
+                                          expected.reshape(40, 100))
 
     @pytest.mark.parametrize("theta,kr,expected", GOLDEN_COUPLING)
     def test_golden_table(self, theta, kr, expected):
-        f = coupling_f(vec_at(theta, kr))
-        assert f.real == 0.0
-        assert f.imag == pytest.approx(expected, rel=1e-12)
+        # the table holds Im(F) and the kernel returns i*F, so Im(F) = -i*F
+        assert -exchange(vec_at(theta, kr)) == pytest.approx(expected, rel=1e-12)
 
     def test_spec_points_closed_form(self):
         # theta = 0, kr = pi: the polarization-transverse term vanishes and
         # F = -i (3/pi^2) Gamma/2; theta = pi/2 flips the near-field sign
-        f = coupling_f(vec_at(0.0, math.pi))
-        assert f.imag == pytest.approx(-3.0 / math.pi**2 / 2.0, rel=1e-12)
-        f = coupling_f(vec_at(math.pi / 2, math.pi))
-        assert f.imag == pytest.approx(1.5 / math.pi**2 / 2.0, rel=1e-12)
+        assert -exchange(vec_at(0.0, math.pi)) == pytest.approx(-3.0 / math.pi**2 / 2.0,
+                                                                rel=1e-12)
+        assert -exchange(vec_at(math.pi / 2, math.pi)) == pytest.approx(
+            1.5 / math.pi**2 / 2.0, rel=1e-12)
 
     def test_far_field_decay(self):
-        f = coupling_f(vec_at(0.7, 1e6))
-        assert abs(f) < 1e-5
+        assert abs(exchange(vec_at(0.7, 1e6))) < 1e-5
 
     def test_scalar_mode_is_theta_zero(self):
-        v = vec_at(1.1, 2.3)
-        scalar = coupling_f(v, mode="scalar")
-        aligned = coupling_f(vec_at(0.0, 2.3))
+        scalar = exchange(vec_at(1.1, 2.3), mode="scalar")
+        aligned = exchange(vec_at(0.0, 2.3))
         assert scalar == pytest.approx(aligned, rel=1e-12)
 
     def test_reciprocity(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = rng.normal(size=3)
-            assert coupling_f(v) == pytest.approx(coupling_f(-v), rel=1e-12)
+            assert exchange(v) == pytest.approx(exchange(-v), rel=1e-12)
 
-    def test_below_exclusion_radius(self):
+    def test_coincident_atoms_raise(self):
+        pair = EnsembleRealization(positions=np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]),
+                                   min_pair_distance=0.0)
         with pytest.raises(DomainError):
-            coupling_f(np.array([0.01, 0.0, 0.0]), min_separation=0.05)
+            build_coupling_matrix(pair)
 
 
 def reference_sample_positions(config, seed):
@@ -237,7 +241,7 @@ class TestCouplingMatrix:
         r = sample_positions(cfg, seed=5)
         gamma_dd = 0.7
         built = build_coupling_matrix(r, gamma_dd=gamma_dd)
-        f01 = coupling_f(r.positions[0] - r.positions[1])
+        f01 = textbook_coupling_f(r.positions[0] - r.positions[1])
         s = 1.0 / (1.0 + gamma_dd**2)
         expected = np.array([[0.5, 1j * s * f01], [1j * s * f01, 0.5]])
         np.testing.assert_allclose(built, expected, rtol=1e-14)
@@ -263,18 +267,18 @@ class TestCouplingMatrix:
     @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
     def test_blocked_assembly_matches_all_pairs_reference(self, n, mode):
         # references: every pair at once through triu_indices, mirrored, from
-        # coupling_f and from the textbook expression written out below
+        # the package's kernel and from the textbook expression
         cfg = EnsembleConfig(atom_count=n, box=(5.0, 5.0, 5.0))
         r = sample_positions(cfg, seed=4)
         pos = r.positions
         iu = np.triu_indices(n, 1)
+        d = pos[iu[0]] - pos[iu[1]]
         for gamma_dd in (0.0, 0.7):
             built = build_coupling_matrix(r, gamma_dd=gamma_dd, mode=mode)
             assert built.dtype == np.float64
-            for coupling in (coupling_f, textbook_coupling_f):
+            for i_f in (exchange(d, mode=mode), (1j * textbook_coupling_f(d, mode=mode)).real):
                 expected = np.zeros((n, n))
-                f = coupling(pos[iu[0]] - pos[iu[1]], mode=mode)
-                vals = suppression_factor(gamma_dd) * (1j * f).real
+                vals = suppression_factor(gamma_dd) * i_f
                 expected[iu] = vals
                 expected[(iu[1], iu[0])] = vals
                 np.fill_diagonal(expected, 0.5)
@@ -353,6 +357,8 @@ class TestDipoleTrace:
     def test_single_atom_rise(self):
         cfg = EnsembleConfig(atom_count=1, box=(5.0, 5.0, 5.0))
         trace, _ = run_realization(cfg, seed=0, pulse=STEP)
+        # the one readout grid: step tau_a/20 on [0, 8 tau_a]
+        np.testing.assert_array_equal(trace.t_points, np.linspace(0.0, 8.0, 161))
         expected = 1.0 - np.exp(-trace.t_points / 2.0)
         np.testing.assert_allclose(trace.p_normalized, expected, rtol=1e-9,
                                    atol=1e-12)
@@ -416,7 +422,7 @@ class TestEnsembleAveraging:
         from subabsorb.core import optical_depth_from_geometry
         cfg = EnsembleConfig(atom_count=500, box=(15.0, 15.0, 15.0), rng_seed=400,
                              realization_count=10)
-        sigma_ss = optical_depth_from_geometry(cfg).sigma_ss
+        sigma_ss = optical_depth_from_geometry(cfg)
         res = run_ensemble(cfg, pulse=STEP)
         taus = np.array([fit_rise_time(trace_from_dipole(tr, sigma_ss)).tau
                          for tr in res.traces])

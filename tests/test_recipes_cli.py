@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 
 from subabsorb import __version__, analysis, cli, coupled_dipole, maxwell_bloch, recipes
 from subabsorb.core import ConfigError, EnsembleConfig, PulseShape
@@ -170,6 +169,9 @@ class TestRunRecipe:
             assert {"z_points", "t_ns", "rabi", "rho00", "rho11", "rho01",
                     "sigma_ss"} <= set(grid.files)
             assert grid["rabi"].shape == (len(grid["z_points"]), len(grid["t_ns"]))
+            # positions across the medium as the fraction zeta = z/L
+            np.testing.assert_array_equal(grid["z_points"],
+                                          np.linspace(0.0, 1.0, len(grid["z_points"])))
 
     def test_mb_points_propagate_in_one_batch_per_z_grid(self, tmp_path, monkeypatch):
         # sigma_ss 2.6 needs 52 z steps, the others the default 50
@@ -194,7 +196,7 @@ class TestRunRecipe:
         meta = json.loads((tmp_path / "tiny_cd" / "sweep_meta.json").read_text())
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert meta["versions"] == {"subabsorb": __version__,
-                                    "numpy": np.__version__, "scipy": scipy.__version__,
+                                    "numpy": np.__version__,
                                     "blas": f"{blas['name']} {blas['version']}"}
 
     def test_zero_realizations_rejected_before_output(self, tmp_path):
@@ -305,6 +307,12 @@ class TestCli:
                        "beta_over_2pi_hz_cm3": float("nan")}}, []),
         ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
                        "min_pair_separation_um": float("nan")}}, []),
+        ({"name": "../escaped"}, []),
+        ({"name": "inner/escaped"}, []),
+        ({"name": ""}, []),
+        ({"name": "."}, []),
+        ({"name": ".."}, []),
+        ({"mode": "bogus"}, []),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, fields, argv):
         cfg = {"name": "cd_bad", "model": "coupled_dipole",
@@ -314,9 +322,9 @@ class TestCli:
         cfg.update(fields)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        out = tmp_path / "runs"
+        out = tmp_path / "runs" / "inner"
         assert cli.main(["run", str(path), "--out", str(out)] + argv) == cli.EXIT_CONFIG
-        assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["bad.json"]
 
     @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400],
                              ids=["float", "integer"])
@@ -451,7 +459,8 @@ class TestCli:
         assert not out.exists()
 
     def test_runs_and_fits_load_no_scipy_special_or_linalg(self, tmp_path):
-        # a fresh interpreter, so modules imported by other tests do not count
+        # a fresh interpreter, so modules imported by other tests do not count;
+        # numpy is the only runtime dependency, so no scipy module may load
         mb = {"name": "ramp_mb", "model": "maxwell_bloch",
               "swept_parameter": "sigma_ss", "sweep_values": [0.2],
               "pulse": {"kind": "smooth_ramp"}}
@@ -468,7 +477,7 @@ class TestCli:
             "codes = [cli.main(['run', out + '/mb.json', '--out', out + '/runs']),\n"
             "         cli.main(['run', out + '/cd.json', '--out', out + '/runs']),\n"
             "         cli.main(['fit', out + '/trace.csv', '--resamples', '200'])]\n"
-            "loaded = [m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules]\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "print('RESULT', codes, loaded)\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
