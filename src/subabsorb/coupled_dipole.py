@@ -6,16 +6,22 @@ H_jj = 1/2 (single-atom amplitude decay, Gamma_a units) and off-diagonals
 H_jk = i*S*F_jk where F_jk is the pairwise exchange coupling and
 S = 1/(1 + (gamma_DD/Gamma_a)^2) suppresses the couplings, never the
 diagonal decay.  F_jk as used here is purely imaginary, so H is real
-symmetric; the closed-form step response
+symmetric; the closed-form step response is
 
-    c(t) = (I - exp(-H t)) H^{-1} b
+    c(t) = (I - exp(-H t)) H^{-1} b.
 
-follows from the eigendecomposition H = Q diag(lambda) Q^T.  Writing
-H(S) = I/2 + S*G, the matrix G does not depend on the dephasing, so one
-eigendecomposition of H0 = H(1) per realization serves every gamma_DD:
-the eigenvectors are shared and lambda(S) = 1/2 + S*(lambda0 - 1/2).  With
-Q real, the readout P(t), its steady state and sum |c_j|^2 need only
-lambda0 and the weights w_j = |(Q^T e^{ikz})_j|^2 (see RealizationSpectrum).
+The readout P(t), its steady state and sum |c_j|^2 are quadratic forms
+u^T f(H) u + v^T f(H) v of the drive vectors u = cos(kz), v = sin(kz),
+with f(lambda) = (1 - e^{-lambda t})/lambda, its square, or 1/lambda.
+Block Lanczos on H0 = H(gamma_DD = 0), started from the block [u, v],
+gives the Gauss rule for these forms: its nodes are Ritz values and its
+weights come from the first rows of the Ritz vectors, and m block steps
+integrate every polynomial of degree up to 2m-1 exactly (Golub & Welsch
+1969; Golub & Meurant, Matrices, Moments and Quadrature, 2010).  Writing
+H(S) = I/2 + S*(H0 - I/2), every H(S) has the same Krylov space and the
+rule at S is the rule at S = 1 with its nodes mapped by
+lambda -> 1/2 + S*(lambda - 1/2), so one Lanczos run per realization
+serves every gamma_DD (see RealizationSpectrum).
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ NORM_BUDGET = 1e-2                # perturbative bound on sum |c_j|^2
 MAX_REJECTIONS = 1_000_000
 SAMPLE_BLOCK = 64                 # candidate positions drawn and tested together
 ASSEMBLY_BLOCK = 64               # rows of H filled per block of pair separations
+#: Lanczos stops once the S = 1 readout moves by less than this, relative,
+#: over LANCZOS_STRIDE block steps
+LANCZOS_TOL = 1e-13
+LANCZOS_STRIDE = 4                # block steps between readout checks
 
 
 class DensityTooHighError(RuntimeError):
@@ -324,55 +334,169 @@ def dipole_trace(state: AmplitudeState, realization: EnsembleRealization,
 
 @dataclass(frozen=True)
 class RealizationSpectrum:
-    """Dephasing-independent spectrum of one realization.
+    """Dephasing-independent Gauss rule of one realization.
 
-    lambda0 are the eigenvalues of H0 = H(gamma_DD = 0), and weights are
-    w_j = |(Q^T e^{ikz})_j|^2 over its real eigenvectors Q.  Q itself is
-    not kept: the readout at any suppression S needs only these.
+    lambda0 are the nodes (Ritz values of H0 = H(gamma_DD = 0), ascending)
+    and weights the Gauss weights of the block Lanczos rule for the drive
+    vectors: sum_j weights_j f(lambda0_j) = u^T f(H0) u + v^T f(H0) v for
+    the readout functions f.  There are at most N nodes; with N of them the
+    rule is the full spectrum with the eigenvector weights
+    |(Q^T e^{ikz})_j|^2.
+
+    Ritz values lie inside [lambda_min, lambda_max] of H0, so a positive
+    smallest node does not prove H0 positive.  lambda0_min is None when a
+    Cholesky factorization of H0 succeeded, which proves every H(S) with
+    S <= 1 positive; otherwise it is the exact smallest eigenvalue of H0.
     """
 
     realization: EnsembleRealization
     lambda0: np.ndarray
     weights: np.ndarray
+    lambda0_min: float | None
+
+
+def _readout(lam: np.ndarray, w: np.ndarray, t_points: np.ndarray):
+    """sum_j w_j phi_j(t), sum_j w_j phi_j(t)^2 and sum_j w_j/lambda_j for
+    phi_j(t) = (1 - e^{-lambda_j t})/lambda_j, in units of the drive."""
+    # expm1 keeps small-lambda (deeply subradiant) modes accurate
+    phi = -np.expm1(-np.outer(t_points, lam)) / lam[None, :]
+    return phi @ w, (phi * phi) @ w, np.sum(w / lam)
+
+
+def _span(w: np.ndarray, floor: float):
+    """Orthonormal rows spanning the rows of w (b, N), and the (r, b)
+    coefficients c with w = c.T @ rows; directions with singular value at
+    or below ``floor`` are dropped (Lanczos breakdown)."""
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    r = int(np.count_nonzero(s > floor))
+    return vt[:r], s[:r, None] * u[:, :r].T
+
+
+def _gauss_rule(h0: np.ndarray, drive: np.ndarray):
+    """Nodes and weights of the block Lanczos Gauss rule of H0 for the
+    drive rows (2, N) = [cos kz; sin kz].
+
+    One matmul per block step, with full reorthogonalization (classical
+    Gram-Schmidt, twice) against every earlier Lanczos vector.  The block
+    tridiagonal T (k x k) is diagonalized every LANCZOS_STRIDE steps; with
+    T = S diag(theta) S^T and drive = R0^T @ (first block), the nodes are
+    theta and the weights |R0^T S[:b, i]|^2.  The run stops on breakdown,
+    when k reaches N (the rule is then exact), or once the S = 1 readout
+    (_readout on T_POINTS: P(t), sum |c|^2 and the steady state) has moved
+    by less than LANCZOS_TOL, relative to its largest value, since the
+    previous check.  Every step is a fixed sequence of BLAS and LAPACK
+    calls, so a rerun gives the same bits.
+
+    S = 1 is the hardest suppression to converge.  The rule at S integrates
+    f(1/2 + S*(lambda - 1/2)) at S = 1, and the Gauss error for a function
+    is at most twice the total weight times its best uniform polynomial
+    approximation error of degree 2m-1 on [lambda_min, lambda_max].  The
+    eigenvalues of H0 average to 1/2 (trace N/2), so for S <= 1 the mapped
+    interval [1/2 + S*(lambda_min - 1/2), 1/2 + S*(lambda_max - 1/2)] lies
+    inside the S = 1 interval: it is narrower and its smallest lambda, where
+    1/lambda and phi_t vary fastest, is larger.  Every readout function is
+    thus approximated at least as well at S < 1 as at S = 1.
+    """
+    n = h0.shape[1]
+    eps_n = n * np.finfo(float).eps
+    rows, r0 = _span(drive, eps_n * np.linalg.norm(drive))
+    cap = min(n, 32)
+    basis = np.empty((cap, n))          # Lanczos vectors, as rows
+    tri = np.zeros((cap, cap))          # block tridiagonal T
+    lo, k = 0, len(rows)                # the current block is basis[lo:k]
+    basis[:k] = rows
+    steps = 0
+    previous = None
+    while True:
+        w = basis[lo:k] @ h0            # (H0 Y^T)^T, H0 being symmetric
+        floor = eps_n * np.linalg.norm(w)
+        coef = w @ basis[:k].T
+        w -= coef @ basis[:k]
+        again = w @ basis[:k].T
+        w -= again @ basis[:k]
+        a = (coef + again)[:, lo:k]
+        tri[lo:k, lo:k] = 0.5 * (a + a.T)
+        steps += 1
+        rows, b = _span(w, floor)
+        rows = rows[:n - k]
+        exact = len(rows) == 0
+        if exact or steps % LANCZOS_STRIDE == 0:
+            nodes, vecs = np.linalg.eigh(tri[:k, :k])
+            weights = np.sum((r0.T @ vecs[:len(r0)]) ** 2, axis=0)
+            if exact:
+                return nodes, weights
+            readout = _readout(nodes, weights, T_POINTS)
+            if previous is not None and all(
+                    np.max(np.abs(x - y)) <= LANCZOS_TOL * np.max(np.abs(x))
+                    for x, y in zip(readout, previous)):
+                return nodes, weights
+            previous = readout
+        r = len(rows)
+        if k + r > cap:
+            cap = min(n, 2 * cap)
+            basis = np.concatenate([basis[:k], np.empty((cap - k, n))])
+            tri = np.pad(tri[:k, :k], (0, cap - k))
+        basis[k:k + r] = rows
+        tri[k:k + r, lo:k] = b[:r]
+        tri[lo:k, k:k + r] = b[:r].T
+        lo, k = k, k + r
+
+
+def _positivity(h0: np.ndarray) -> float | None:
+    """None when Cholesky proves H0 positive definite, else its exact
+    smallest eigenvalue."""
+    try:
+        np.linalg.cholesky(h0)
+    except np.linalg.LinAlgError:
+        return float(np.linalg.eigvalsh(h0)[0])
+    return None
+
+
+def _spectrum(realization: EnsembleRealization, h0: np.ndarray) -> RealizationSpectrum:
+    """The Gauss rule of H0 for the realization's drive, and its positivity."""
+    kz = K_A * realization.positions[:, 2]
+    lambda0, weights = _gauss_rule(h0, np.stack([np.cos(kz), np.sin(kz)]))
+    return RealizationSpectrum(realization=realization, lambda0=lambda0, weights=weights,
+                               lambda0_min=_positivity(h0))
 
 
 def realization_spectrum(config: EnsembleConfig, seed: int,
                          mode: str = "vectorial") -> RealizationSpectrum:
-    """Sample one realization and diagonalize its undephased H0 once."""
+    """Sample one realization and read the Gauss rule of its undephased H0."""
     realization = sample_positions(config, seed)
-    h0 = build_coupling_matrix(realization, gamma_dd=0.0, mode=mode)
-    lam0, q = np.linalg.eigh(h0)
-    kz = K_A * realization.positions[:, 2]
-    proj = q.T @ np.stack([np.cos(kz), np.sin(kz)], axis=1)
-    weights = proj[:, 0] ** 2 + proj[:, 1] ** 2
-    return RealizationSpectrum(realization=realization, lambda0=lam0, weights=weights)
+    return _spectrum(realization, build_coupling_matrix(realization, gamma_dd=0.0, mode=mode))
 
 
 def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude: float,
                    t_points: np.ndarray) -> DipoleTrace:
-    """P(t) at one suppression S from the shared spectrum, in O(T*N).
+    """P(t) at one suppression S from the shared Gauss rule, in O(T*m).
 
     With phi_j(t) = (1 - e^{-lambda_j t})/lambda_j and
     lambda = 1/2 + S*(lambda0 - 1/2):
     raw P(t) = Omega0 |sum_j w_j phi_j(t)|, steady state Omega0 |sum_j w_j/lambda_j|
     and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  A spectrum that is not
-    positive has no steady state and raises DomainError.
+    positive has no steady state and raises DomainError; its smallest
+    eigenvalue at S is the mapped lambda0_min when Cholesky did not certify
+    H0 (the map is increasing, so it takes the minimum to the minimum).
     """
-    lam0 = spectrum.lambda0
-    # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
-    lam = lam0 if suppression == 1.0 else 0.5 + suppression * (lam0 - 0.5)
-    if not lam[0] > 0:
-        raise DomainError(f"coupling spectrum is not positive: lambda_min = {lam[0]:.3g}")
+    def at_s(lam0):
+        # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
+        return lam0 if suppression == 1.0 else 0.5 + suppression * (lam0 - 0.5)
+
+    lam = at_s(spectrum.lambda0)
+    lowest = lam[0]
+    if spectrum.lambda0_min is not None:
+        lowest = min(lowest, at_s(spectrum.lambda0_min))
+    if not lowest > 0:
+        raise DomainError(f"coupling spectrum is not positive: lambda_min = {lowest:.3g}")
     amp = abs(amplitude)
-    w = spectrum.weights
-    # expm1 keeps small-lambda (deeply subradiant) modes accurate
-    phi = -np.expm1(-np.outer(t_points, lam)) / lam[None, :]
-    peak = float(np.max(amp**2 * ((phi * phi) @ w)))
+    p, c2, inverse = _readout(lam, spectrum.weights, t_points)
+    peak = float(np.max(amp**2 * c2))
     if peak > NORM_BUDGET:
         raise PerturbativeBoundError(
             f"sum |c_j|^2 reached {peak:.3g} > {NORM_BUDGET}; weaken the drive")
-    raw = amp * np.abs(phi @ w)
-    steady = float(amp * abs(np.sum(w / lam)))
+    raw = amp * np.abs(p)
+    steady = float(amp * abs(inverse))
     if steady < 1e-15 * spectrum.realization.atom_count * amp:
         raise DomainError("steady-state dipole too small to normalize against")
     return DipoleTrace(t_points=t_points, p_normalized=raw / steady,
@@ -383,12 +507,12 @@ def run_realization(config: EnsembleConfig, seed: int,
                     species: AtomicSpecies = AtomicSpecies(),
                     pulse: PulseShape | None = None, mode: str = "vectorial",
                     spectra: dict | None = None) -> tuple[DipoleTrace, EnsembleRealization]:
-    """One disorder realization: sample, diagonalize, reduce to P(t) on T_POINTS.
+    """One disorder realization: sample, read its Gauss rule, reduce to P(t) on T_POINTS.
 
     ``spectra`` is an optional cache of RealizationSpectrum keyed by the
     geometry (seed, box, atom_count, min_pair_separation, mode); a sweep
     over the dephasing coefficient passes the same dict for every value so
-    each geometry is sampled and diagonalized once.
+    each geometry is sampled and read once.
     """
     if pulse is None:
         pulse = PulseShape(kind="step")

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,18 @@ BETA_SET = (0.0, 9e-7, 2.8e-6, 9e-6, 2.8e-5, 9e-5)
 BEST_BETA = 4.9e-5
 
 DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
+
+#: largest estimated peak memory (bytes) of a recipe; anything above it is
+#: refused at load.  Catalog recipes are estimated at 6 MiB or less and an
+#: N = 1500 collective sweep at 52 MiB; 2 GiB admits N up to about 9400
+MEMORY_BUDGET = 2 * 1024**3
+#: N x N float64 arrays live at once in a collective realization: H0, and
+#: the input copy and the factor of its Cholesky certificate
+CD_LIVE_MATRICES = 3
+#: Maxwell-Bloch bytes per z node and batch row of the RK4 state and its
+#: stage temporaries, and per recorded (z, t) sample and row
+MB_NODE_BYTES = 640
+MB_SAMPLE_BYTES = 48
 
 #: failures that end a sweep early; the completed rows are still written
 FIT_ERRORS = (analysis.FitError, analysis.DegenerateTraceError)
@@ -85,6 +98,10 @@ class ExperimentRecipe:
             raise ConfigError("box_side values must exceed min_pair_separation")
         if self.model == "coupled_dipole" and self.ensemble.atom_count < 1:
             raise ConfigError("the coupled_dipole model needs ensemble.atom_count >= 1")
+        need = peak_bytes(self)
+        if need > MEMORY_BUDGET:
+            raise ConfigError(f"recipe {self.name!r} needs about {need / 2**30:.3g} GiB, "
+                              f"above the {MEMORY_BUDGET / 2**30:g} GiB memory budget")
 
     def to_dict(self) -> dict:
         lam_um = self.species.wavelength_um
@@ -117,6 +134,24 @@ class ExperimentRecipe:
                 "realization_count": self.ensemble.realization_count,
             },
         }
+
+
+def peak_bytes(recipe: ExperimentRecipe) -> int:
+    """Estimated peak memory of running ``recipe``, from its sizes alone.
+
+    Collective: CD_LIVE_MATRICES N x N float64 arrays.  Maxwell-Bloch: the
+    largest batch of points sharing a z grid, each row holding its RK4
+    state on z_steps + 1 nodes and its recorded planes (both ends, or every
+    node with ``dump_grid``) at every time step.
+    """
+    if recipe.model == "coupled_dipole":
+        return CD_LIVE_MATRICES * 8 * recipe.ensemble.atom_count**2
+    batches = Counter(maxwell_bloch.default_z_steps(_mb_input(recipe, value)[1])
+                      for value in recipe.sweep_values)
+    t_steps = round(maxwell_bloch.DEFAULT_STEPS_PER_TAU * maxwell_bloch.DEFAULT_T_MAX) + 1
+    return max(rows * ((z + 1) * MB_NODE_BYTES
+                       + (z + 1 if recipe.dump_grid else 2) * t_steps * MB_SAMPLE_BYTES)
+               for z, rows in batches.items())
 
 
 def recipe_from_dict(data: dict) -> ExperimentRecipe:
@@ -297,7 +332,7 @@ def _cd_point(recipe: ExperimentRecipe, value: float, side: float, beta: float,
     """Realizations seed .. seed+M-1 of a cube of side ``side`` at dephasing
     coefficient ``beta``; the row holds the mean fitted tau and its standard
     error.  ``spectra`` is shared by every point of the sweep, so a geometry
-    seen again at another beta is sampled and diagonalized once.
+    seen again at another beta is sampled and read once.
     """
     config = replace(recipe.ensemble, box=(side, side, side), rng_seed=seed,
                      realization_count=realizations, beta_over_2pi_hz_cm3=beta)

@@ -7,10 +7,12 @@ import scipy.linalg
 from scipy.special import spherical_jn
 
 from subabsorb import coupled_dipole
-from subabsorb.core import AtomicSpecies, DomainError, EnsembleConfig, PulseShape
+from subabsorb.core import (AtomicSpecies, DomainError, EnsembleConfig, PulseShape,
+                            box_side_for_sigma_ss)
 from subabsorb.coupled_dipole import (SAMPLE_BLOCK, DensityTooHighError,
                                       EnsembleRealization, PerturbativeBoundError,
-                                      _exchange, build_coupling_matrix,
+                                      T_POINTS, _exchange, _readout,
+                                      _spectrum, build_coupling_matrix,
                                       dipole_trace, drive_vector, evolve_closed_form,
                                       realization_spectrum, rk4_amplitudes, run_ensemble,
                                       run_realization, sample_positions, spectral_trace,
@@ -475,8 +477,9 @@ class TestSharedSpectrum:
 
     def test_non_positive_spectrum_raises(self):
         spectrum = realization_spectrum(self.CFG, 8)
-        assert spectrum.lambda0[0] > 0
-        shifted = replace(spectrum, lambda0=spectrum.lambda0 - spectrum.lambda0[0] - 1e-3)
+        assert spectrum.lambda0[0] > 0 and spectrum.lambda0_min is None
+        # an uncertified H0 whose exact smallest eigenvalue is below zero
+        shifted = replace(spectrum, lambda0_min=-1e-3)
         with pytest.raises(DomainError, match="not positive"):
             spectral_trace(shifted, 1.0, 1e-3, np.linspace(0.0, 8.0, 161))
 
@@ -530,3 +533,117 @@ class TestSpectralOracle:
             if suppression == 1.0:
                 solo, _ = run_realization(cfg, seed, pulse=STEP, mode=mode)
                 np.testing.assert_allclose(solo.p_normalized, ref, rtol=0, atol=1e-9)
+
+
+def eigh_reference(spectrum, mode):
+    """The full spectrum of H0 with the eigenvector weights |Q^T e^{ikz}|^2."""
+    h0 = build_coupling_matrix(spectrum.realization, mode=mode)
+    lam, q = np.linalg.eigh(h0)
+    kz = 2.0 * math.pi * spectrum.realization.positions[:, 2]
+    proj = q.T @ np.stack([np.cos(kz), np.sin(kz)], axis=1)
+    return replace(spectrum, lambda0=lam, weights=proj[:, 0] ** 2 + proj[:, 1] ** 2)
+
+
+def assert_same_readout(spectrum, reference, suppression, rtol):
+    """P(t), the steady state and the peak sum |c|^2 agree to rtol."""
+    a = spectral_trace(spectrum, suppression, 1e-3, T_POINTS)
+    b = spectral_trace(reference, suppression, 1e-3, T_POINTS)
+    np.testing.assert_allclose(a.p_normalized, b.p_normalized, rtol=rtol, atol=0)
+    assert a.steady_state_raw == pytest.approx(b.steady_state_raw, rel=rtol, abs=0)
+    peaks = [np.max(_readout(0.5 + suppression * (s.lambda0 - 0.5), s.weights, T_POINTS)[1])
+             for s in (spectrum, reference)]
+    assert peaks[0] == pytest.approx(peaks[1], rel=rtol, abs=0)
+
+
+class TestLanczosReadout:
+    """The Gauss rule of realization_spectrum against a full eigendecomposition."""
+
+    @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
+    @pytest.mark.parametrize("n, seed", [(300, 1), (400, 2), (500, 3)])
+    def test_dense_geometries_match_eigh_at_every_beta(self, n, seed, mode):
+        side = box_side_for_sigma_ss(2.0, n)
+        cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
+        spectrum = realization_spectrum(cfg, seed, mode=mode)
+        assert len(spectrum.lambda0) <= n
+        reference = eigh_reference(spectrum, mode)
+        for beta in BETA_SET:
+            suppression = suppression_factor(
+                replace(cfg, beta_over_2pi_hz_cm3=beta).gamma_dd(AtomicSpecies()))
+            assert_same_readout(spectrum, reference, suppression, rtol=1e-12)
+        again = realization_spectrum(cfg, seed, mode=mode)
+        assert np.array_equal(again.lambda0, spectrum.lambda0)
+        assert np.array_equal(again.weights, spectrum.weights)
+
+    @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
+    def test_small_dense_geometry_reaches_the_cap_and_is_exact(self, mode):
+        side = box_side_for_sigma_ss(2.0, 20)
+        cfg = EnsembleConfig(atom_count=20, box=(side, side, side))
+        for seed in range(3):
+            spectrum = realization_spectrum(cfg, seed, mode=mode)
+            reference = eigh_reference(spectrum, mode)
+            assert len(spectrum.lambda0) == 20
+            np.testing.assert_allclose(spectrum.lambda0, reference.lambda0, rtol=0,
+                                       atol=1e-13)
+            for suppression in (1.0, 0.3, 1e-3):
+                assert_same_readout(spectrum, reference, suppression, rtol=1e-12)
+
+    def test_node_count_never_exceeds_n(self):
+        for n in (1, 2, 3, 5, 8):
+            cfg = EnsembleConfig(atom_count=n, box=(0.6, 0.6, 0.6), min_pair_separation=0.0)
+            for seed in range(4):
+                spectrum = realization_spectrum(cfg, seed)
+                assert len(spectrum.lambda0) <= n
+                assert_same_readout(spectrum, eigh_reference(spectrum, "vectorial"), 1.0,
+                                    rtol=1e-12)
+
+    def test_drive_in_one_plane_starts_from_one_vector(self):
+        # every atom at the same z: sin kz is a multiple of cos kz, so the
+        # first Lanczos block has one direction
+        positions = np.array([[0.0, 0.0, 0.3], [0.4, 0.1, 0.3], [0.1, 0.5, 0.3]])
+        realization = EnsembleRealization(positions=positions, min_pair_distance=0.4)
+        h0 = build_coupling_matrix(realization)
+        spectrum = _spectrum(realization, h0)
+        assert len(spectrum.lambda0) == 3
+        assert_same_readout(spectrum, eigh_reference(spectrum, "vectorial"), 1.0,
+                            rtol=1e-12)
+
+    def test_negative_mode_without_drive_weight_is_still_caught(self):
+        """A negative eigenvalue whose eigenvector is orthogonal to the drive
+        never enters the Krylov space; the Cholesky certificate still sees it."""
+        side = box_side_for_sigma_ss(2.0, 200)
+        cfg = EnsembleConfig(atom_count=200, box=(side, side, side))
+        realization = sample_positions(cfg, 4)
+        h_true = build_coupling_matrix(realization)
+        kz = 2.0 * math.pi * realization.positions[:, 2]
+        drive = np.stack([np.cos(kz), np.sin(kz)], axis=1)
+        basis, _ = np.linalg.qr(drive)
+        q = np.random.default_rng(0).normal(size=len(kz))
+        for _ in range(2):
+            q -= basis @ (basis.T @ q)
+        q /= np.linalg.norm(q)
+        assert np.sum((drive.T @ q) ** 2) < 1e-25
+        # q is an eigenvector of h0 with eigenvalue lam_neg; the rest of the
+        # spectrum is the compression of h_true to the complement of q
+        lam_neg = -1e-3
+        proj = np.eye(len(q)) - np.outer(q, q)
+        h0 = proj @ h_true @ proj + lam_neg * np.outer(q, q)
+        h0 = 0.5 * (h0 + h0.T)
+        spectrum = _spectrum(realization, h0)
+        assert spectrum.lambda0[0] > 0           # the rule alone cannot see it
+        assert spectrum.lambda0_min == pytest.approx(np.linalg.eigvalsh(h0)[0], abs=1e-12)
+        assert spectrum.lambda0_min == pytest.approx(lam_neg, abs=1e-12)
+        with pytest.raises(DomainError, match="not positive"):
+            spectral_trace(spectrum, 1.0, 1e-3, T_POINTS)
+        # lambda(S) = 1/2 + S (lam_neg - 1/2) changes sign at S* = 1/(1 - 2 lam_neg)
+        s_star = 1.0 / (1.0 - 2.0 * lam_neg)
+        with pytest.raises(DomainError, match="not positive"):
+            spectral_trace(spectrum, s_star * (1.0 + 1e-6), 1e-3, T_POINTS)
+        for suppression in (s_star * (1.0 - 1e-6), 0.5, 1e-3):
+            trace = spectral_trace(spectrum, suppression, 1e-3, T_POINTS)
+            assert np.all(np.isfinite(trace.p_normalized))
+
+    def test_sampled_geometries_are_certified(self):
+        for n, sigma_ss, mode in [(60, 0.05, "vectorial"), (300, 2.0, "scalar")]:
+            side = box_side_for_sigma_ss(sigma_ss, n)
+            cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
+            assert realization_spectrum(cfg, 1, mode=mode).lambda0_min is None

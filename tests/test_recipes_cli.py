@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,33 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             ExperimentRecipe(name="x", model="maxwell_bloch",
                              swept_parameter="sigma_ss", sweep_values=(0.1, 0.3, 0.2))
+
+    def test_oversized_configs_refused_at_load(self):
+        # only config objects are built here: nothing is sampled or propagated
+        mb = dict(name="x", model="maxwell_bloch", swept_parameter="sigma_ss")
+        with pytest.raises(ConfigError, match="memory budget"):
+            ExperimentRecipe(**mb, sweep_values=(1e6,))      # 2e7 z nodes
+        with pytest.raises(ConfigError, match="memory budget"):
+            ExperimentRecipe(**mb, sweep_values=(2000.0,), dump_grid=True)
+        with pytest.raises(ConfigError, match="memory budget"):
+            recipe_from_dict({**mb, "sweep_values": [1e6]})
+        # the collective estimate is 3 N^2 doubles: 9459 fits in 2 GiB, 9460 not
+        assert recipes.CD_LIVE_MATRICES * 8 * 9459**2 <= recipes.MEMORY_BUDGET
+        tiny_cd_recipe(ensemble=EnsembleConfig(atom_count=9459))
+        with pytest.raises(ConfigError, match="memory budget"):
+            tiny_cd_recipe(ensemble=EnsembleConfig(atom_count=9460))
+
+    def test_budget_admits_the_catalog_and_the_benchmark_sizes(self):
+        for recipe in recipe_catalog():
+            assert recipes.peak_bytes(recipe) < recipes.MEMORY_BUDGET / 100
+        # collective_large_n runs N = 1500; a propagation sweep that batches
+        # many points on one z grid is counted once per row
+        assert recipes.peak_bytes(tiny_cd_recipe(ensemble=EnsembleConfig(atom_count=1500))) \
+            < recipes.MEMORY_BUDGET / 10
+        one = ExperimentRecipe(name="x", model="maxwell_bloch", swept_parameter="detuning",
+                               sweep_values=(0.0,), sigma_ss_fixed=100.0)
+        ten = replace(one, sweep_values=tuple(0.1 * k for k in range(10)))
+        assert recipes.peak_bytes(ten) == 10 * recipes.peak_bytes(one)
 
     @pytest.mark.parametrize("model,parameter", [("coupled_dipole", "detuning"),
                                                  ("maxwell_bloch", "beta"),
@@ -372,13 +400,12 @@ class TestCli:
     def test_non_positive_spectrum_exit_code(self, tmp_path, monkeypatch):
         original = coupled_dipole.realization_spectrum
 
-        def shifted(*args, **kwargs):
-            spectrum = original(*args, **kwargs)
-            lam0 = spectrum.lambda0 - spectrum.lambda0[0] - 1e-3
-            return coupled_dipole.RealizationSpectrum(spectrum.realization, lam0,
-                                                      spectrum.weights)
+        def uncertified(*args, **kwargs):
+            # as if Cholesky failed on H0 and its exact smallest eigenvalue
+            # were below zero
+            return replace(original(*args, **kwargs), lambda0_min=-1e-3)
 
-        monkeypatch.setattr(coupled_dipole, "realization_spectrum", shifted)
+        monkeypatch.setattr(coupled_dipole, "realization_spectrum", uncertified)
         cfg = {"name": "cd_negative", "model": "coupled_dipole",
                "swept_parameter": "sigma_ss", "sweep_values": [0.5],
                "pulse": {"kind": "step"},
