@@ -98,9 +98,9 @@ def cmd_run(args) -> int:
     else:
         recipe = recipes.get_recipe(args.recipe)
     out_dir = _default_out(args.out)
-    result = recipes.run_recipe(recipe, out_dir, seed=args.seed,
-                                realizations=args.realizations)
-    print(f"{recipe.name}: {len(result.rows)} rows -> "
+    rows = recipes.run_recipe(recipe, out_dir, seed=args.seed,
+                              realizations=args.realizations)
+    print(f"{recipe.name}: {len(rows)} rows -> "
           f"{os.path.join(out_dir, recipe.name)}")
     return EXIT_OK
 

@@ -235,13 +235,22 @@ def ensemble_from_dict(d: dict, species: AtomicSpecies) -> EnsembleConfig:
         raise ConfigError("box_side_um must be a list of three lengths in um")
     box = tuple(float(a) / lam_um for a in box_um)
     return EnsembleConfig(
-        atom_count=int(d.get("atom_count", 500)),
+        atom_count=_integer(d, "atom_count", 500),
         box=box,
         beta_over_2pi_hz_cm3=float(d.get("beta_over_2pi_hz_cm3", 0.0)),
         min_pair_separation=float(d.get("min_pair_separation_um", 0.05 * lam_um)) / lam_um,
-        rng_seed=int(d.get("rng_seed", 1)),
-        realization_count=int(d.get("realization_count", 10)),
+        rng_seed=_integer(d, "rng_seed", 1),
+        realization_count=_integer(d, "realization_count", 10),
     )
+
+
+def _integer(d: dict, key: str, default: int) -> int:
+    """``d[key]`` as an int; a JSON number with a fractional part, a
+    boolean or a string raises ConfigError instead of being truncated."""
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _finite(text: str) -> float:

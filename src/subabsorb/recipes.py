@@ -15,7 +15,6 @@ import json
 import math
 import os
 import subprocess
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,8 +95,15 @@ class ExperimentRecipe:
         if (self.swept_parameter == "box_side"
                 and min(self.sweep_values) <= self.ensemble.min_pair_separation):
             raise ConfigError("box_side values must exceed min_pair_separation")
+        if self.swept_parameter == "beta" and min(self.sweep_values) < 0:
+            raise ConfigError("beta sweep values must be >= 0")
         if self.model == "coupled_dipole" and self.ensemble.atom_count < 1:
             raise ConfigError("the coupled_dipole model needs ensemble.atom_count >= 1")
+        # the collective model solves a resonant step drive and reads only
+        # the pulse amplitude, so any other pulse would be silently ignored
+        if self.model == "coupled_dipole" and (self.pulse.kind != "step"
+                                               or self.pulse.detuning != 0):
+            raise ConfigError("the coupled_dipole model needs a step pulse on resonance")
         need = peak_bytes(self)
         if need > MEMORY_BUDGET:
             raise ConfigError(f"recipe {self.name!r} needs about {need / 2**30:.3g} GiB, "
@@ -146,16 +152,16 @@ def peak_bytes(recipe: ExperimentRecipe) -> int:
     """
     if recipe.model == "coupled_dipole":
         return CD_LIVE_MATRICES * 8 * recipe.ensemble.atom_count**2
-    batches = Counter(maxwell_bloch.default_z_steps(_mb_input(recipe, value)[1])
-                      for value in recipe.sweep_values)
     t_steps = round(maxwell_bloch.DEFAULT_STEPS_PER_TAU * maxwell_bloch.DEFAULT_T_MAX) + 1
-    return max(rows * ((z + 1) * MB_NODE_BYTES
-                       + (z + 1 if recipe.dump_grid else 2) * t_steps * MB_SAMPLE_BYTES)
-               for z, rows in batches.items())
+    return max(len(batch) * ((z + 1) * MB_NODE_BYTES
+                             + (z + 1 if recipe.dump_grid else 2) * t_steps * MB_SAMPLE_BYTES)
+               for z, batch in _mb_batches(recipe).items())
 
 
 def recipe_from_dict(data: dict) -> ExperimentRecipe:
     try:
+        if not isinstance(data.get("dump_grid", False), bool):
+            raise ConfigError("dump_grid must be true or false")
         species = species_from_dict(data.get("species", {}))
         pulse = pulse_from_dict(data.get("pulse", {}), species)
         ensemble = ensemble_from_dict(data.get("ensemble", {}), species)
@@ -170,7 +176,7 @@ def recipe_from_dict(data: dict) -> ExperimentRecipe:
             mode=str(data.get("mode", "vectorial")),
             sigma_ss_fixed=float(data.get("sigma_ss_fixed", 0.5)),
             od_grid=tuple(float(v) for v in data.get("od_grid", [])),
-            dump_grid=bool(data.get("dump_grid", False)),
+            dump_grid=data.get("dump_grid", False),
             description=str(data.get("description", "")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -246,14 +252,6 @@ class SweepRow:
     seed: int
 
 
-@dataclass
-class SweepResult:
-    recipe: ExperimentRecipe
-    rows: list[SweepRow]
-    provenance: dict
-    complete: bool = True
-
-
 def _git_hash() -> str:
     """Commit of the checkout the package was imported from, or "unknown"."""
     try:
@@ -294,108 +292,118 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _mb_input(recipe: ExperimentRecipe, value: float) -> tuple[PulseShape, float]:
-    """The pulse and optical depth of the Maxwell-Bloch point ``value``."""
-    if recipe.swept_parameter == "sigma_ss":
-        return recipe.pulse, value
-    return replace(recipe.pulse, detuning=value), recipe.sigma_ss_fixed
+def _mb_batches(recipe: ExperimentRecipe) -> dict[int, list[tuple[int, PulseShape, float]]]:
+    """The (index, pulse, optical depth) of every Maxwell-Bloch point, grouped
+    by z steps: each group is propagated in one time loop.  The z steps grow
+    with the depth and the sweep is monotone, so the groups are runs of
+    consecutive points."""
+    batches: dict = {}
+    for index, value in enumerate(recipe.sweep_values):
+        if recipe.swept_parameter == "sigma_ss":
+            pulse, sigma_ss = recipe.pulse, value
+        else:
+            pulse, sigma_ss = replace(recipe.pulse, detuning=value), recipe.sigma_ss_fixed
+        batches.setdefault(maxwell_bloch.default_z_steps(sigma_ss), []).append(
+            (index, pulse, sigma_ss))
+    return batches
 
 
-def _mb_grids(recipe: ExperimentRecipe, index: int) -> dict:
-    """Grids of point ``index`` and of every point on the same z grid,
-    propagated in one time loop and keyed by point index.  Only a
-    ``dump_grid`` recipe keeps the full grids."""
-    inputs = [_mb_input(recipe, value) for value in recipe.sweep_values]
-    z_steps = maxwell_bloch.default_z_steps(inputs[index][1])
-    group = [i for i, (_, sigma_ss) in enumerate(inputs)
-             if maxwell_bloch.default_z_steps(sigma_ss) == z_steps]
-    grids = maxwell_bloch.propagate_batch([inputs[i][0] for i in group],
-                                          [inputs[i][1] for i in group],
-                                          full_grid=recipe.dump_grid)
-    return dict(zip(group, grids))
+def _mb_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
+    """Propagate each z-grid batch once, then fit, write and yield its points
+    in order.  Only a ``dump_grid`` recipe keeps and writes the full grids."""
+    species = recipe.species
+    for batch in _mb_batches(recipe).values():
+        # the loop owns the grids, so they are freed before the next batch
+        for (index, pulse, sigma_ss), grid in zip(batch, maxwell_bloch.propagate_batch(
+                [pulse for _, pulse, _ in batch], [sigma_ss for _, _, sigma_ss in batch],
+                full_grid=recipe.dump_grid)):
+            trace = maxwell_bloch.transmission_from_grid(grid, pulse)
+            fit = analysis.fit_rise_time(analysis.optical_depth_trace(trace))
+            _write_csv(os.path.join(run_dir, f"point_{index:02d}_trace.csv"),
+                       ["t_ns", "I_input", "I_output"],
+                       zip(species.time_to_ns(trace.t_points), trace.intensity_input,
+                           trace.intensity_output))
+            if recipe.dump_grid:
+                np.savez_compressed(
+                    os.path.join(run_dir, f"point_{index:02d}_grid.npz"),
+                    z_points=grid.z_points, t_ns=species.time_to_ns(grid.t_points),
+                    rabi=grid.rabi, rho00=grid.rho00, rho11=grid.rho11, rho01=grid.rho01,
+                    sigma_ss=grid.sigma_ss)
+            yield SweepRow(swept_value=recipe.sweep_values[index], sigma_ss=sigma_ss,
+                           tau_over_2tau_a=fit.tau / 2.0, tau_err_over_2tau_a=0.0,
+                           seed=base_seed)
 
 
-def _mb_point(recipe: ExperimentRecipe, value: float, seed: int, grid):
-    pulse, sigma_ss = _mb_input(recipe, value)
-    trace = maxwell_bloch.transmission_from_grid(grid, pulse)
-    fit = analysis.fit_rise_time(analysis.optical_depth_trace(trace))
-    row = SweepRow(swept_value=value, sigma_ss=sigma_ss,
-                   tau_over_2tau_a=fit.tau / 2.0, tau_err_over_2tau_a=0.0, seed=seed)
-    artifacts = {"trace": trace}
-    if recipe.dump_grid:
-        artifacts["grid"] = grid
-    return row, artifacts
+def _cd_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int, n_real: int):
+    """Run, fit, write and yield the collective points in order.
 
-
-def _cd_point(recipe: ExperimentRecipe, value: float, side: float, beta: float,
-              seed: int, realizations: int, spectra: dict):
-    """Realizations seed .. seed+M-1 of a cube of side ``side`` at dephasing
-    coefficient ``beta``; the row holds the mean fitted tau and its standard
-    error.  ``spectra`` is shared by every point of the sweep, so a geometry
+    A point runs realizations seed .. seed+M-1 of a cube and its row holds
+    the mean fitted tau and its standard error.  A beta sweep runs the
+    optical-depth grid at every beta with seeds from the grid index only,
+    so all beta values see the same disorder realizations and the
+    suppression trend is not confounded by configuration noise; its points
+    write no traces.  ``spectra`` is shared by every point, so a geometry
     seen again at another beta is sampled and read once.
     """
-    config = replace(recipe.ensemble, box=(side, side, side), rng_seed=seed,
-                     realization_count=realizations, beta_over_2pi_hz_cm3=beta)
-    sigma_ss = optical_depth_from_geometry(config)
-    result = coupled_dipole.run_ensemble(config, species=recipe.species,
-                                         pulse=recipe.pulse, mode=recipe.mode,
-                                         spectra=spectra)
-    fits = analysis.fit_rise_times([analysis.trace_from_dipole(tr, sigma_ss)
-                                    for tr in result.traces])
-    taus = np.asarray([fit.tau for fit in fits])
-    err = taus.std(ddof=1) / math.sqrt(len(taus)) if len(taus) > 1 else 0.0
-    row = SweepRow(swept_value=value, sigma_ss=sigma_ss,
-                   tau_over_2tau_a=float(taus.mean() / 2.0),
-                   tau_err_over_2tau_a=float(err / 2.0), seed=seed)
-    return row, {"ensemble": result, "config": config, "sigma_ss": sigma_ss}
+    ensemble, species = recipe.ensemble, recipe.species
+
+    def side(sigma_ss):
+        return box_side_for_sigma_ss(sigma_ss, ensemble.atom_count)
+
+    # (swept value, cube side, beta, point index)
+    if recipe.swept_parameter == "beta":
+        points = [(beta, side(od), beta, k) for beta in recipe.sweep_values
+                  for k, od in enumerate(recipe.od_grid or DEFAULT_OD_GRID)]
+    else:
+        points = [(value, value if recipe.swept_parameter == "box_side" else side(value),
+                   ensemble.beta_over_2pi_hz_cm3, k)
+                  for k, value in enumerate(recipe.sweep_values)]
+    spectra: dict = {}
+    for value, a, beta, k in points:
+        config = replace(ensemble, box=(a, a, a), rng_seed=base_seed + k * n_real,
+                         realization_count=n_real, beta_over_2pi_hz_cm3=beta)
+        sigma_ss = optical_depth_from_geometry(config)
+        result = coupled_dipole.run_ensemble(config, species=species, pulse=recipe.pulse,
+                                             mode=recipe.mode, spectra=spectra)
+        fits = analysis.fit_rise_times([analysis.trace_from_dipole(tr, sigma_ss)
+                                        for tr in result.traces])
+        taus = np.asarray([fit.tau for fit in fits])
+        err = taus.std(ddof=1) / math.sqrt(len(taus)) if len(taus) > 1 else 0.0
+        if recipe.swept_parameter != "beta":
+            _write_cd_point(os.path.join(run_dir, f"point_{k:02d}"), result,
+                            sigma_ss, config.gamma_dd(species), species)
+        yield SweepRow(swept_value=value, sigma_ss=sigma_ss,
+                       tau_over_2tau_a=float(taus.mean() / 2.0),
+                       tau_err_over_2tau_a=float(err / 2.0), seed=config.rng_seed)
 
 
-def _write_mb_artifacts(out_dir, index, artifacts, species):
-    trace = artifacts["trace"]
-    t_ns = species.time_to_ns(trace.t_points)
-    _write_csv(os.path.join(out_dir, f"point_{index:02d}_trace.csv"),
-               ["t_ns", "I_input", "I_output"],
-               zip(t_ns, trace.intensity_input, trace.intensity_output))
-    grid = artifacts.get("grid")
-    if grid is not None:
-        np.savez_compressed(
-            os.path.join(out_dir, f"point_{index:02d}_grid.npz"),
-            z_points=grid.z_points, t_ns=species.time_to_ns(grid.t_points),
-            rabi=grid.rabi, rho00=grid.rho00, rho11=grid.rho11, rho01=grid.rho01,
-            sigma_ss=grid.sigma_ss)
-
-
-def _write_cd_artifacts(out_dir, index, artifacts, species):
-    result = artifacts["ensemble"]
-    config = artifacts["config"]
-    sigma_ss = artifacts["sigma_ss"]
+def _write_cd_point(prefix, result, sigma_ss, gamma_dd, species):
+    """The aggregate P(t) and each realization's trace and sidecar."""
     t_ns = species.time_to_ns(result.t_points)
-    _write_csv(os.path.join(out_dir, f"point_{index:02d}_aggregate.csv"),
-               ["t_ns", "P_mean", "P_stderr"],
+    _write_csv(f"{prefix}_aggregate.csv", ["t_ns", "P_mean", "P_stderr"],
                zip(t_ns, result.p_mean, result.p_stderr))
-    gamma_dd = config.gamma_dd(species)
     for r, (trace, realization, seed) in enumerate(
             zip(result.traces, result.realizations, result.seeds)):
-        _write_csv(os.path.join(out_dir, f"point_{index:02d}_real_{r:02d}.csv"),
-                   ["t_ns", "P_normalized"], zip(t_ns, trace.p_normalized))
+        _write_csv(f"{prefix}_real_{r:02d}.csv", ["t_ns", "P_normalized"],
+                   zip(t_ns, trace.p_normalized))
         meta = {"seed": seed, "positions_hash": realization.positions_hash(),
                 "sigma_ss": sigma_ss, "gamma_dd_over_gamma": gamma_dd}
-        with open(os.path.join(out_dir, f"point_{index:02d}_real_{r:02d}.json"),
-                  "w") as fh:
+        with open(f"{prefix}_real_{r:02d}.json", "w") as fh:
             json.dump(meta, fh, indent=1, sort_keys=True)
 
 
 def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
-               realizations: int | None = None) -> SweepResult:
-    """Execute every sweep point, fit rise-times, write CSV + JSON outputs.
+               realizations: int | None = None) -> list[SweepRow]:
+    """Execute every sweep point, fit rise-times, write CSV + JSON outputs,
+    and return the rows.
 
-    Points run one after another and each writes its traces as it
-    finishes, so a rerun with the same seeds is byte-identical.  Maxwell-
-    Bloch points on a common z grid are propagated together, in one
-    batched time loop, when the first of them is reached.  A fit or
-    model failure (SWEEP_ERRORS) aborts the sweep with the completed rows
-    flushed, the provenance marked incomplete and an ``error`` record; fit
-    failures are re-raised as FitError, the others as their own type.
+    The model's row generator (_mb_rows or _cd_rows) runs the points one
+    after another and writes each point's traces before yielding its row,
+    so a rerun with the same seeds is byte-identical.  A fit or model
+    failure (SWEEP_ERRORS) ends the sweep: sweep.csv holds the rows
+    completed before it, and sweep_meta.json is marked incomplete with an
+    ``error`` record.  Fit failures are then re-raised as FitError, the
+    others as their own type.
     """
     base_seed = recipe.ensemble.rng_seed if seed is None else int(seed)
     n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)
@@ -403,50 +411,20 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
         raise ConfigError("realizations must be >= 1")
     if base_seed < 0:
         raise ConfigError("seed must be >= 0")
-    out_dir = str(out_dir)
-    run_dir = os.path.join(out_dir, recipe.name)
+    run_dir = os.path.join(str(out_dir), recipe.name)
     os.makedirs(run_dir, exist_ok=True)
-    spectra: dict = {}      # realization spectra shared by every collective point
-    ensemble = recipe.ensemble
 
-    # (trace index, swept value, optical depth or cube side, beta, seed)
-    if recipe.swept_parameter == "beta":
-        # Every beta runs the optical-depth grid with seeds from the grid
-        # index only, so all beta values see the same disorder realizations
-        # and the suppression trend is not confounded by configuration
-        # noise.  These points write no traces.
-        od_grid = recipe.od_grid or DEFAULT_OD_GRID
-        points = [(None, beta, od, beta, base_seed + k * n_real)
-                  for beta in recipe.sweep_values for k, od in enumerate(od_grid)]
-    else:
-        points = [(index, value, value, ensemble.beta_over_2pi_hz_cm3,
-                   base_seed + index * n_real)
-                  for index, value in enumerate(recipe.sweep_values)]
-
-    write = _write_mb_artifacts if recipe.model == "maxwell_bloch" else _write_cd_artifacts
-    rows: list[SweepRow] = []
+    rows = (_mb_rows(recipe, run_dir, base_seed) if recipe.model == "maxwell_bloch"
+            else _cd_rows(recipe, run_dir, base_seed, n_real))
+    collected: list[SweepRow] = []
     error: Exception | None = None
-    grids: dict = {}        # propagated Maxwell-Bloch points not yet fitted
-    for index, value, depth_or_side, beta, point_seed in points:
-        try:
-            if recipe.model == "maxwell_bloch":
-                if index not in grids:
-                    grids.update(_mb_grids(recipe, index))
-                row, artifacts = _mb_point(recipe, value, base_seed, grids.pop(index))
-            else:
-                side = depth_or_side if recipe.swept_parameter == "box_side" else \
-                    box_side_for_sigma_ss(depth_or_side, ensemble.atom_count)
-                row, artifacts = _cd_point(recipe, value, side, beta, point_seed,
-                                           n_real, spectra)
-        except SWEEP_ERRORS as exc:
-            error = exc
-            break
-        rows.append(row)
-        if index is not None:
-            write(run_dir, index, artifacts, recipe.species)
-    complete = error is None
+    try:
+        for row in rows:
+            collected.append(row)
+    except SWEEP_ERRORS as exc:
+        error = exc
 
-    provenance = {
+    meta = {
         "recipe": recipe.name,
         "config_hash": _config_hash(recipe),
         "git_hash": _git_hash(),
@@ -454,26 +432,23 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
                      "blas": _blas_build()},
         "base_seed": base_seed,
         "realizations": n_real,
-        "complete": complete,
+        "complete": error is None,
         "config": recipe.to_dict(),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if error is not None:
-        provenance["error"] = {"type": type(error).__name__, "message": str(error)}
+        meta["error"] = {"type": type(error).__name__, "message": str(error)}
     _write_csv(os.path.join(run_dir, "sweep.csv"),
                ["swept_value", "sigma_ss", "tau_over_2tau_a", "tau_err_over_2tau_a",
                 "seed"],
                [(r.swept_value, r.sigma_ss, r.tau_over_2tau_a, r.tau_err_over_2tau_a,
-                 r.seed) for r in rows])
-    meta = dict(provenance)
-    meta["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+                 r.seed) for r in collected])
     with open(os.path.join(run_dir, "sweep_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
 
-    result = SweepResult(recipe=recipe, rows=rows, provenance=provenance,
-                         complete=complete)
     if error is not None:
         message = f"sweep {recipe.name} aborted: {error}; partial results in {run_dir}"
         if isinstance(error, FIT_ERRORS):
             raise analysis.FitError(message) from error
         raise type(error)(message) from error
-    return result
+    return collected

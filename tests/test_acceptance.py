@@ -182,9 +182,8 @@ def test_criterion_9_dephasing_suppression_trend(tmp_path):
         name="acc9", model="coupled_dipole", swept_parameter="beta",
         sweep_values=BETA_SET, od_grid=od_grid, pulse=STEP,
         ensemble=EnsembleConfig(atom_count=500, rng_seed=900, realization_count=10))
-    result = run_recipe(recipe, tmp_path)
     curves = {}
-    for row in result.rows:
+    for row in run_recipe(recipe, tmp_path):
         curves.setdefault(row.swept_value, []).append((row.sigma_ss,
                                                        row.tau_over_2tau_a))
     peaks, argmaxes = [], []

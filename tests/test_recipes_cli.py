@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from subabsorb import __version__, analysis, cli, coupled_dipole, maxwell_bloch, recipes
-from subabsorb.core import ConfigError, EnsembleConfig, PulseShape
+from subabsorb.core import (ConfigError, EnsembleConfig, PulseShape,
+                            optical_depth_from_geometry)
 from subabsorb.recipes import (ExperimentRecipe, get_recipe, load_recipe,
                                recipe_catalog, recipe_from_dict, run_recipe)
 
@@ -130,12 +131,11 @@ class TestCatalog:
 
 class TestRunRecipe:
     def test_outputs_and_formats(self, tmp_path):
-        result = run_recipe(tiny_cd_recipe(), tmp_path)
-        assert result.complete
+        rows = run_recipe(tiny_cd_recipe(), tmp_path)
         run_dir = tmp_path / "tiny_cd"
         header = (run_dir / "sweep.csv").read_text().splitlines()[0]
         assert header == "swept_value,sigma_ss,tau_over_2tau_a,tau_err_over_2tau_a,seed"
-        assert len(result.rows) == 2
+        assert len(rows) == 2
         # per-realization trace + sidecar, plus the aggregate
         assert (run_dir / "point_00_real_00.csv").exists()
         assert (run_dir / "point_00_aggregate.csv").exists()
@@ -156,8 +156,7 @@ class TestRunRecipe:
         assert recipes._git_hash() == expected
 
     def test_rows_positive_tau(self, tmp_path):
-        result = run_recipe(tiny_cd_recipe(), tmp_path)
-        for row in result.rows:
+        for row in run_recipe(tiny_cd_recipe(), tmp_path):
             assert row.tau_over_2tau_a > 0
 
     def test_byte_identical_rerun(self, tmp_path):
@@ -173,17 +172,17 @@ class TestRunRecipe:
         recipe = tiny_cd_recipe()
         a = run_recipe(recipe, tmp_path / "a", seed=77)
         b = run_recipe(recipe, tmp_path / "b", seed=1234)
-        assert a.rows[0].tau_over_2tau_a != b.rows[0].tau_over_2tau_a
-        assert b.rows[0].seed == 1234
+        assert a[0].tau_over_2tau_a != b[0].tau_over_2tau_a
+        assert b[0].seed == 1234
 
     def test_mb_sweep_with_traces(self, tmp_path):
         recipe = ExperimentRecipe(name="mb2", model="maxwell_bloch",
                                   swept_parameter="sigma_ss", sweep_values=(0.1, 0.5))
-        result = run_recipe(recipe, tmp_path)
+        rows = run_recipe(recipe, tmp_path)
         trace = (tmp_path / "mb2" / "point_01_trace.csv").read_text().splitlines()
         assert trace[0] == "t_ns,I_input,I_output"
-        assert len(result.rows) == 2
-        assert result.rows[0].tau_over_2tau_a > result.rows[1].tau_over_2tau_a
+        assert len(rows) == 2
+        assert rows[0].tau_over_2tau_a > rows[1].tau_over_2tau_a
 
     def test_grid_dump(self, tmp_path, monkeypatch):
         rows_per_call = counting_batches(monkeypatch)
@@ -208,13 +207,13 @@ class TestRunRecipe:
         for k, value in enumerate(values):
             one = ExperimentRecipe(name=f"one{k}", model="maxwell_bloch",
                                    swept_parameter="sigma_ss", sweep_values=(value,))
-            singles.append(run_recipe(one, tmp_path).rows[0])
+            singles.append(run_recipe(one, tmp_path)[0])
         rows_per_call = counting_batches(monkeypatch)
         recipe = ExperimentRecipe(name="mb3", model="maxwell_bloch",
                                   swept_parameter="sigma_ss", sweep_values=values)
-        result = run_recipe(recipe, tmp_path)
+        rows = run_recipe(recipe, tmp_path)
         assert rows_per_call == [2, 1]
-        assert result.rows == singles
+        assert rows == singles
         for k in range(3):
             assert read_bytes(tmp_path / "mb3" / f"point_{k:02d}_trace.csv") == \
                 read_bytes(tmp_path / f"one{k}" / "point_00_trace.csv")
@@ -237,16 +236,16 @@ class TestRunRecipe:
             run_recipe(tiny_cd_recipe(), tmp_path / "runs", seed=-40)
         assert not (tmp_path / "runs").exists()
 
-    def test_cd_point_taus_match_per_trace_fits(self):
+    def test_cd_point_taus_match_per_trace_fits(self, tmp_path):
         # one fit_rise_times call per point gives the taus of fitting each
         # realization on its own
-        recipe = tiny_cd_recipe(ensemble=EnsembleConfig(atom_count=100, rng_seed=21,
-                                                        realization_count=6))
-        row, artifacts = recipes._cd_point(recipe, 4.0, 4.0, 0.0, 21, 6, {})
-        sigma_ss = artifacts["sigma_ss"]
+        ensemble = EnsembleConfig(atom_count=100, box=(4.0, 4.0, 4.0), rng_seed=21,
+                                  realization_count=6)
+        [row] = run_recipe(tiny_cd_recipe(sweep_values=(4.0,), ensemble=ensemble), tmp_path)
+        sigma_ss = optical_depth_from_geometry(ensemble)
         taus = np.asarray([
             analysis.fit_rise_time(analysis.trace_from_dipole(tr, sigma_ss)).tau
-            for tr in artifacts["ensemble"].traces])
+            for tr in coupled_dipole.run_ensemble(ensemble, pulse=STEP).traces])
         assert row.tau_over_2tau_a == float(taus.mean() / 2.0)
         assert row.tau_err_over_2tau_a == float(taus.std(ddof=1) / np.sqrt(6) / 2.0)
 
@@ -255,11 +254,11 @@ class TestRunRecipe:
             name="beta2", model="coupled_dipole", swept_parameter="beta",
             sweep_values=(0.0, 9e-5), od_grid=(0.1, 0.4), pulse=STEP,
             ensemble=EnsembleConfig(atom_count=50, rng_seed=5, realization_count=2))
-        result = run_recipe(recipe, tmp_path)
-        assert len(result.rows) == 4
+        rows = run_recipe(recipe, tmp_path)
+        assert len(rows) == 4
         # same inner grid point shares its seed across beta values
         by_beta = {}
-        for row in result.rows:
+        for row in rows:
             by_beta.setdefault(row.swept_value, []).append(row)
         seeds0 = [r.seed for r in by_beta[0.0]]
         seeds1 = [r.seed for r in by_beta[9e-5]]
@@ -280,8 +279,7 @@ class TestRunRecipe:
             name="beta3", model="coupled_dipole", swept_parameter="beta",
             sweep_values=(0.0, 9e-6, 9e-5), od_grid=(0.1, 0.4), pulse=STEP,
             ensemble=EnsembleConfig(atom_count=50, rng_seed=5, realization_count=2))
-        result = run_recipe(recipe, tmp_path)
-        assert len(result.rows) == 6
+        assert len(run_recipe(recipe, tmp_path)) == 6
         # 2 optical depths x 2 realizations, shared by all three beta
         assert len(calls) == 4
         assert len(set(calls)) == 4
@@ -341,6 +339,13 @@ class TestCli:
         ({"name": "."}, []),
         ({"name": ".."}, []),
         ({"mode": "bogus"}, []),
+        ({"pulse": {"kind": "smooth_ramp"}}, []),
+        ({"pulse": {"kind": "step", "detuning_rad_per_s": 1.31 / 26.2e-9}}, []),
+        ({"swept_parameter": "beta", "sweep_values": [-1e-5, 0.0]}, []),
+        ({"dump_grid": "false"}, []),
+        ({"ensemble": {"atom_count": 64.9, "rng_seed": 3, "realization_count": 1}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": 3.7, "realization_count": 1}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 2.5}}, []),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, fields, argv):
         cfg = {"name": "cd_bad", "model": "coupled_dipole",
@@ -381,6 +386,32 @@ class TestCli:
         meta = json.loads((run_dir / "sweep_meta.json").read_text())
         assert meta["complete"] is False
         assert meta["error"]["type"] == "DensityTooHighError"
+
+    def test_mb_fit_error_exit_code_keeps_completed_rows(self, tmp_path, monkeypatch):
+        original = analysis.fit_rise_time
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise analysis.FitError("no convergence")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "fit_rise_time", failing_second)
+        cfg = {"name": "mb_fail", "model": "maxwell_bloch",
+               "swept_parameter": "sigma_ss", "sweep_values": [0.1, 0.5]}
+        path = tmp_path / "fail.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == \
+            cli.EXIT_FIT
+        run_dir = tmp_path / "runs" / "mb_fail"
+        rows = (run_dir / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0.1,")
+        assert (run_dir / "point_00_trace.csv").exists()
+        assert not (run_dir / "point_01_trace.csv").exists()
+        meta = json.loads((run_dir / "sweep_meta.json").read_text())
+        assert meta["complete"] is False
+        assert meta["error"]["type"] == "FitError"
 
     def test_strong_drive_exit_code(self, tmp_path):
         # 20 atoms at 0.05 Gamma_a: sum |c_j|^2 ~ 4 N Omega^2 = 0.2 > NORM_BUDGET
@@ -493,6 +524,7 @@ class TestCli:
               "pulse": {"kind": "smooth_ramp"}}
         cd = {"name": "cd64", "model": "coupled_dipole",
               "swept_parameter": "sigma_ss", "sweep_values": [0.5],
+              "pulse": {"kind": "step"},
               "ensemble": {"atom_count": 64, "rng_seed": 3, "realization_count": 1}}
         (tmp_path / "mb.json").write_text(json.dumps(mb))
         (tmp_path / "cd.json").write_text(json.dumps(cd))
@@ -554,5 +586,4 @@ class TestLoadRecipe:
         path = tmp_path / "cd.json"
         path.write_text(json.dumps(cfg))
         recipe = load_recipe(path)
-        result = run_recipe(recipe, tmp_path / "out")
-        assert len(result.rows) == 2
+        assert len(run_recipe(recipe, tmp_path / "out")) == 2
