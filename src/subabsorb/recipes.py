@@ -370,14 +370,14 @@ def _cd_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int, n_real: int
         taus = np.asarray([fit.tau for fit in fits])
         err = taus.std(ddof=1) / math.sqrt(len(taus)) if len(taus) > 1 else 0.0
         if recipe.swept_parameter != "beta":
-            _write_cd_point(os.path.join(run_dir, f"point_{k:02d}"), result,
+            _write_cd_traces(os.path.join(run_dir, f"point_{k:02d}"), result,
                             sigma_ss, config.gamma_dd(species), species)
         yield SweepRow(swept_value=value, sigma_ss=sigma_ss,
                        tau_over_2tau_a=float(taus.mean() / 2.0),
                        tau_err_over_2tau_a=float(err / 2.0), seed=config.rng_seed)
 
 
-def _write_cd_point(prefix, result, sigma_ss, gamma_dd, species):
+def _write_cd_traces(prefix, result, sigma_ss, gamma_dd, species):
     """The aggregate P(t) and each realization's trace and sidecar."""
     t_ns = species.time_to_ns(result.t_points)
     _write_csv(f"{prefix}_aggregate.csv", ["t_ns", "P_mean", "P_stderr"],
