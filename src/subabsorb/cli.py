@@ -121,6 +121,10 @@ def cmd_fit(args) -> int:
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ConfigError(f"directory of --out {args.out} does not exist")
     trace = _read_trace_csv(args.trace, args.lifetime_ns)
+    need = analysis.monte_carlo_peak_bytes(trace, args.resamples)
+    if need > recipes.MEMORY_BUDGET:
+        raise ConfigError(f"--resamples {args.resamples} needs about {need / 2**30:.3g} GiB, "
+                          f"above the {recipes.MEMORY_BUDGET / 2**30:g} GiB memory budget")
     fit = analysis.fit_with_uncertainty(trace, resamples=args.resamples, seed=args.seed)
     record = {
         "tau_ns": fit.tau * species.excited_lifetime_ns,

@@ -214,31 +214,30 @@ def box_side_for_sigma_ss(sigma_ss: float, atom_count: int) -> float:
 
 def species_from_dict(d: dict) -> AtomicSpecies:
     return AtomicSpecies(
-        excited_lifetime_ns=float(d.get("excited_lifetime_ns", 26.2)),
-        wavelength_nm=float(d.get("wavelength_nm", 780.0)),
+        excited_lifetime_ns=_number(d, "excited_lifetime_ns", 26.2),
+        wavelength_nm=_number(d, "wavelength_nm", 780.0),
     )
 
 
 def pulse_from_dict(d: dict, species: AtomicSpecies) -> PulseShape:
     gamma = species.decay_rate_rad_per_s
     kind = d.get("kind", "smooth_ramp")
-    amp = float(d.get("rabi_peak_rad_per_s", 1e-3 * gamma)) / gamma
-    det = float(d.get("detuning_rad_per_s", 0.0)) / gamma
-    rise = float(d.get("rise_10_90_ns", 8.0)) / species.excited_lifetime_ns
+    amp = _number(d, "rabi_peak_rad_per_s", 1e-3 * gamma) / gamma
+    det = _number(d, "detuning_rad_per_s", 0.0) / gamma
+    rise = _number(d, "rise_10_90_ns", 8.0) / species.excited_lifetime_ns
     return PulseShape(kind=kind, amplitude=amp, detuning=det, rise_10_90=rise)
 
 
 def ensemble_from_dict(d: dict, species: AtomicSpecies) -> EnsembleConfig:
     lam_um = species.wavelength_um
-    box_um = d.get("box_side_um", [50 * lam_um] * 3)
-    if not isinstance(box_um, (list, tuple)) or len(box_um) != 3:
+    box_um = _numbers(d, "box_side_um", [50 * lam_um] * 3)
+    if len(box_um) != 3:
         raise ConfigError("box_side_um must be a list of three lengths in um")
-    box = tuple(float(a) / lam_um for a in box_um)
     return EnsembleConfig(
         atom_count=_integer(d, "atom_count", 500),
-        box=box,
-        beta_over_2pi_hz_cm3=float(d.get("beta_over_2pi_hz_cm3", 0.0)),
-        min_pair_separation=float(d.get("min_pair_separation_um", 0.05 * lam_um)) / lam_um,
+        box=tuple(a / lam_um for a in box_um),
+        beta_over_2pi_hz_cm3=_number(d, "beta_over_2pi_hz_cm3", 0.0),
+        min_pair_separation=_number(d, "min_pair_separation_um", 0.05 * lam_um) / lam_um,
         rng_seed=_integer(d, "rng_seed", 1),
         realization_count=_integer(d, "realization_count", 10),
     )
@@ -251,6 +250,31 @@ def _integer(d: dict, key: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(d: dict, key: str, default: float) -> float:
+    """``d[key]`` as a float; a boolean, a string or a value that is not
+    finite raises ConfigError instead of being converted."""
+    return _finite_number(key, d.get(key, default))
+
+
+def _numbers(d: dict, key: str, default: list | None = None) -> tuple[float, ...]:
+    """``d[key]``, a list of numbers each checked as by _number, as a tuple
+    of floats.  Without a default the key is required (KeyError)."""
+    values = d[key] if default is None else d.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_finite_number(key, v) for v in values)
+
+
+def _finite_number(key: str, value) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:     # an integer too large for a float
+            pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def _finite(text: str) -> float:

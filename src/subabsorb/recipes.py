@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__, analysis, coupled_dipole, maxwell_bloch
 from .core import (AtomicSpecies, ConfigError, DomainError, EnsembleConfig,
-                   PulseShape, box_side_for_sigma_ss, ensemble_from_dict,
-                   load_config_dict, optical_depth_from_geometry, pulse_from_dict,
-                   species_from_dict)
+                   PulseShape, _number, _numbers, box_side_for_sigma_ss,
+                   ensemble_from_dict, load_config_dict, optical_depth_from_geometry,
+                   pulse_from_dict, species_from_dict)
 
 #: the parameters each model can sweep
 MODEL_PARAMETERS = {
@@ -169,13 +169,13 @@ def recipe_from_dict(data: dict) -> ExperimentRecipe:
             name=str(data["name"]),
             model=str(data["model"]),
             swept_parameter=str(data["swept_parameter"]),
-            sweep_values=tuple(float(v) for v in data["sweep_values"]),
+            sweep_values=_numbers(data, "sweep_values"),
             species=species,
             pulse=pulse,
             ensemble=ensemble,
             mode=str(data.get("mode", "vectorial")),
-            sigma_ss_fixed=float(data.get("sigma_ss_fixed", 0.5)),
-            od_grid=tuple(float(v) for v in data.get("od_grid", [])),
+            sigma_ss_fixed=_number(data, "sigma_ss_fixed", 0.5),
+            od_grid=_numbers(data, "od_grid", []),
             dump_grid=data.get("dump_grid", False),
             description=str(data.get("description", "")),
         )

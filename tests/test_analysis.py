@@ -6,8 +6,9 @@ import pytest
 from subabsorb import analysis
 from subabsorb.analysis import (FIT_WINDOW, TAIL_FRACTION, TAU_INITIAL,
                                 DegenerateTraceError, FitError, OpticalDepthTrace,
-                                _boxes, _fit_rows, fit_rise_time, fit_rise_times,
-                                fit_with_uncertainty, monte_carlo_uncertainty,
+                                _boxes, _fit_rows, _solve_sym3, fit_rise_time,
+                                fit_rise_times, fit_with_uncertainty,
+                                monte_carlo_uncertainty,
                                 optical_depth_trace, synthesize_counts,
                                 trace_from_dipole)
 from subabsorb.core import DomainError, EnsembleConfig, PulseShape
@@ -180,6 +181,86 @@ class TestFitRiseTimes:
         with pytest.raises(DomainError, match="one time grid"):
             fit_rise_times([make_trace(a, exponential_truth(a)),
                             make_trace(b, exponential_truth(b))])
+
+
+class TestKernelOracle:
+    """The batched fit against scipy's trust-region reflective least squares,
+    an independent bounded solver, on the same residuals, boxes and start."""
+
+    @staticmethod
+    def _scipy_tau(t, y, u, sigma_ss_estimate=None):
+        from scipy.optimize import least_squares
+        window = FIT_WINDOW
+        tail = t >= window[1] - (window[1] - window[0]) * TAIL_FRACTION
+        sss = np.mean(y[tail]) if sigma_ss_estimate is None else sigma_ss_estimate
+        lo, hi = _boxes(np.array([sss]), y[:1], 1)
+        w = 1.0 / u if np.all(u > 0) else np.ones_like(t)
+
+        def residuals(p):
+            return (p[0] - (p[0] - p[1]) * np.exp(-(t - window[0]) / p[2]) - y) * w
+
+        p0 = np.clip([sss, y[0], TAU_INITIAL], lo[0], hi[0])
+        fit = least_squares(residuals, p0, bounds=(lo[0], hi[0]), method="trf",
+                            ftol=1e-14, xtol=1e-14, gtol=1e-14)
+        return fit.x[2]
+
+    def test_count_traces_match_trust_region_fits(self):
+        # criterion-11 traces: 10^5 cycles of 30 photons in 4 ns bins
+        t = np.linspace(0.0, 8.0, 600)
+        truth = make_trace(t, 0.1 * (1 - np.exp(-t / 2.0)))
+        traces = [optical_depth_trace(synthesize_counts(truth, cycles=100_000,
+                                                        photons_per_pulse=30,
+                                                        seed=5000 + k,
+                                                        bin_width=4.0 / 26.2))
+                  for k in range(24)]
+        fits = fit_rise_times(traces)
+        for fit, trace in zip(fits, traces):
+            inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
+            tau = self._scipy_tau(trace.t_points[inside], trace.sigma[inside],
+                                  trace.u_sigma[inside])
+            assert fit.tau == pytest.approx(tau, rel=1e-5)
+
+    def test_tau_pinned_at_its_bound_matches(self):
+        t = np.linspace(0, 8, 801)
+        trace = make_trace(t, 0.5 * (1.0 - np.exp(-t / 50.0)))
+        fit = fit_rise_time(trace, sigma_ss_estimate=0.5)
+        inside = (t >= FIT_WINDOW[0]) & (t <= FIT_WINDOW[1])
+        tau = self._scipy_tau(t[inside], trace.sigma[inside], trace.u_sigma[inside],
+                              sigma_ss_estimate=0.5)
+        assert fit.bound_saturated
+        assert fit.tau == pytest.approx(tau, rel=1e-5)
+
+
+class TestCofactorSolve:
+    @staticmethod
+    def _packed(m):
+        return np.stack([m[:, 0, 0], m[:, 1, 1], m[:, 2, 2],
+                         m[:, 0, 1], m[:, 1, 2], m[:, 0, 2]])
+
+    def test_agrees_with_numpy_solve_on_spd_stacks(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(2000, 3, 3))
+        m = a @ a.transpose(0, 2, 1)
+        b = rng.normal(size=(2000, 3))
+        x = _solve_sym3(self._packed(m), b.T).T
+        ref = np.linalg.solve(m, b[:, :, None])[:, :, 0]
+        # either solve is accurate to a small multiple of cond(m) * eps
+        cond = np.linalg.cond(m)
+        assert cond.max() > 1e6
+        err = np.linalg.norm(x - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.all(err <= 100 * cond * np.finfo(float).eps)
+
+    def test_singular_row_gets_a_zero_step_alone(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(6, 3, 3))
+        m = a @ a.transpose(0, 2, 1) + np.eye(3)
+        b = rng.normal(size=(6, 3))
+        alone = _solve_sym3(self._packed(m), b.T).T
+        m[1] = 1.0           # rank 1: the determinant is exactly 0
+        m[4, 2, 2] = np.nan  # a determinant that is not finite
+        x = _solve_sym3(self._packed(m), b.T).T
+        assert (x[[1, 4]] == 0).all()
+        assert np.array_equal(x[[0, 2, 3, 5]], alone[[0, 2, 3, 5]])
 
 
 class TestSynthesizeCounts:

@@ -215,3 +215,28 @@ class TestConfigParsing:
     def test_bad_box(self):
         with pytest.raises(ConfigError):
             ensemble_from_dict({"box_side_um": [1.0, 2.0]}, AtomicSpecies())
+
+    @pytest.mark.parametrize("section,data", [
+        ("species", {"wavelength_nm": True}),
+        ("species", {"excited_lifetime_ns": "26.2"}),
+        ("pulse", {"rabi_peak_rad_per_s": float("nan")}),
+        ("pulse", {"rise_10_90_ns": None}),
+        ("ensemble", {"beta_over_2pi_hz_cm3": "inf"}),
+        ("ensemble", {"beta_over_2pi_hz_cm3": float("inf")}),
+        ("ensemble", {"min_pair_separation_um": False}),
+        ("ensemble", {"box_side_um": [15.6, True, 15.6]}),
+        ("ensemble", {"box_side_um": "15.6"}),
+        ("ensemble", {"box_side_um": [15.6, 15.6, 10**400]}),
+    ])
+    def test_numbers_must_be_finite_json_numbers(self, section, data):
+        # a boolean, a string or a non-finite value is refused, not converted
+        parse = {"species": species_from_dict,
+                 "pulse": lambda d: pulse_from_dict(d, AtomicSpecies()),
+                 "ensemble": lambda d: ensemble_from_dict(d, AtomicSpecies())}[section]
+        with pytest.raises(ConfigError, match="must be a"):
+            parse(data)
+
+    def test_integer_numbers_are_numbers(self):
+        assert species_from_dict({"wavelength_nm": 780}).wavelength_nm == 780.0
+        ens = ensemble_from_dict({"box_side_um": [39, 39, 39]}, AtomicSpecies())
+        assert ens.box == (50.0, 50.0, 50.0)

@@ -346,6 +346,17 @@ class TestCli:
         ({"ensemble": {"atom_count": 64.9, "rng_seed": 3, "realization_count": 1}}, []),
         ({"ensemble": {"atom_count": 20, "rng_seed": 3.7, "realization_count": 1}}, []),
         ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 2.5}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
+                       "beta_over_2pi_hz_cm3": "inf"}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
+                       "beta_over_2pi_hz_cm3": True}}, []),
+        ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
+                       "box_side_um": [9.36, "9.36", 9.36]}}, []),
+        ({"species": {"wavelength_nm": "780"}}, []),
+        ({"pulse": {"kind": "step", "rabi_peak_rad_per_s": True}}, []),
+        ({"sweep_values": ["0.5"]}, []),
+        ({"sigma_ss_fixed": False}, []),
+        ({"swept_parameter": "beta", "sweep_values": [0.0], "od_grid": [0.5, "1"]}, []),
     ])
     def test_bad_values_fail_at_load(self, tmp_path, fields, argv):
         cfg = {"name": "cd_bad", "model": "coupled_dipole",
@@ -505,6 +516,27 @@ class TestCli:
             assert cli.main(["fit", str(path), "--resamples", resamples,
                              "--out", str(out)]) == cli.EXIT_MODEL
             assert not out.exists()
+
+    def test_fit_oversized_resamples_refused_before_allocating(self, tmp_path, monkeypatch):
+        # the refusal comes before the resample noise is drawn or any fit runs;
+        # no large array is ever allocated here
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(analysis, "fit_with_uncertainty", refuse)
+        path = tmp_path / "trace.csv"
+        write_rise_csv(path, 0.005)
+        trace = cli._read_trace_csv(str(path), 26.2)
+        per_resample = analysis.monte_carlo_peak_bytes(trace, 1)
+        assert per_resample == analysis.MC_LIVE_ROW_ARRAYS * 8 * 52   # window points
+        most = recipes.MEMORY_BUDGET // per_resample
+        assert analysis.monte_carlo_peak_bytes(trace, most) <= recipes.MEMORY_BUDGET
+        out = tmp_path / "fit.json"
+        for resamples in (most + 1, 10**12):
+            assert cli.main(["fit", str(path), "--resamples", str(resamples),
+                             "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_fit_mixed_zero_uncertainty_exit_code(self, tmp_path):
         path = tmp_path / "trace.csv"
