@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +87,26 @@ def analytic_weak_field(t, z_over_length, sigma_ss: float, detuning: float = 0.0
     return omega_in * np.exp(exponent)
 
 
+class _StateViews(NamedTuple):
+    """Views of one (rho00, rho11, rho01) x row x z buffer that the RK4
+    stages read or write: the three planes, the real parts of the
+    populations, and rho01 over the flattened rows shifted by one node
+    each way (for the trapezoid sums of the field march)."""
+
+    r00: np.ndarray
+    r11: np.ndarray
+    r01: np.ndarray
+    r00_re: np.ndarray
+    r11_re: np.ndarray
+    r01_next: np.ndarray
+    r01_prev: np.ndarray
+
+    @classmethod
+    def of(cls, state):
+        flat = state[2].reshape(-1)
+        return cls(*state, state[0].real, state[1].real, flat[1:], flat[:-1])
+
+
 def default_z_steps(sigma_ss: float) -> int:
     return max(50, math.ceil(20.0 * sigma_ss))
 
@@ -117,9 +138,24 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
     same elementwise arithmetic as a batch of one, so its grid does not
     depend on which other rows share the batch.  Without ``full_grid`` the
     returned grids hold only the zeta = 0 and zeta = 1 planes, which is all
-    that transmission_from_grid reads.  A depth is the optical depth sigma_ss.
+    that transmission_from_grid reads.  A depth is the optical depth sigma_ss,
+    one per pulse; an empty or unpaired batch raises DomainError.
+
+    The time loop creates no arrays: each RK4 stage writes its field and
+    derivative into buffers made once per call, through views also made
+    once, since at these sizes numpy's per-call overhead, not arithmetic,
+    bounds the loop.  The floating-point operations and their order are
+    those of the whole-array RK4 expressions (y + h2*k1, ...,
+    y + h6*(k1 + 2*k2 + 2*k3 + k4)), so the grids carry the same bits.  The
+    populations are held complex with a zero imaginary part.
     """
+    pulses = list(pulses)
     sigmas = [float(d) for d in depths]
+    if not sigmas:
+        raise DomainError("a batch needs at least one (pulse, depth) row")
+    if len(pulses) != len(sigmas):
+        raise DomainError(f"{len(pulses)} pulses for {len(sigmas)} depths; "
+                          "a batch pairs one pulse with each depth")
     if any(s < 0 for s in sigmas):
         raise DomainError("sigma_ss must be >= 0")
     steps = {default_z_steps(s) if z_steps is None else z_steps for s in sigmas}
@@ -142,37 +178,59 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
     rows = len(sigmas)
     recorded = slice(None) if full_grid else slice(None, None, z_steps)
 
-    # per-row constants, shaped (rows, 1) to broadcast along z
-    neg_damp = np.array([[-(0.5 + 1j * p.detuning)] for p in pulses])
-    i_half_alpha = np.array([[1j * (0.5 * s)] for s in sigmas])
+    # per-row constants, spread along z so that every product is elementwise
+    neg_damp = np.repeat([[-(0.5 + 1j * p.detuning)] for p in pulses], nz, axis=1)
+    i_half_alpha = np.repeat([[1j * (0.5 * s)] for s in sigmas], nz, axis=1)
     # boundary drive per time level and row, at t_k and at the RK4 midpoints,
     # held complex so that no stage casts it
     boundary = np.stack([p.envelope(t) for p in pulses], axis=1)[:, :, None] + 0j
     bnd_mid = np.stack([p.envelope(t[:-1] + 0.5 * dt) for p in pulses],
                        axis=1)[:, :, None] + 0j
 
+    # Every stage writes into these buffers.  pairs[b, j] = rho01[b, j + 1]
+    # + rho01[b, j] comes from one add over the flattened rows; pairs[b, -1]
+    # straddles two rows and is never read.
+    pairs = np.empty((rows, nz), dtype=complex)
+    pairs_flat = pairs.reshape(-1)[:-1]
+    pairs_read = pairs[:, :-1]
     integ = np.zeros((rows, nz), dtype=complex)
     integ_tail = integ[:, 1:]
-
-    def field_profile(r01, bnd):
-        # dOmega/dzeta = -i*(sigma_ss/2)*rho01, marched by cumulative trapezoid
-        np.add(r01[:, 1:], r01[:, :-1], out=integ_tail)
-        np.multiply(integ_tail, half_dz, out=integ_tail)
-        np.cumsum(integ_tail, axis=1, out=integ_tail)
-        return bnd - i_half_alpha * integ
-
-    def deriv(y, om):
-        r00, r11, r01 = y
-        cross = 0.5j * (om * np.conj(r01) - np.conj(om) * r01)
-        d = np.empty_like(y)
-        np.add(r11, cross, out=d[0])
-        np.subtract(-r11, cross, out=d[1])
-        np.add(neg_damp * r01, 0.5j * om * (r11 - r00), out=d[2])
-        return d
-
-    # state (rho00, rho11, rho01) x row x z, all complex
-    y = np.zeros((3, rows, nz), dtype=complex)
+    om = np.empty((rows, nz), dtype=complex)        # the field of the stage
+    scratch = np.empty((rows, nz), dtype=complex)
+    cross = scratch.imag                            # Im(om conj(rho01)), a view
+    k1, k2, k3, k4 = (np.empty((3, rows, nz), dtype=complex) for _ in range(4))
+    for d in (k1, k2, k3, k4):
+        d[:2].imag = 0.0                            # populations stay real
+    y = np.zeros((3, rows, nz), dtype=complex)      # (rho00, rho11, rho01) x row x z
     y[0] = 1.0
+    ys = np.empty_like(y)                           # the state of a stage
+
+    def field_profile(v, bnd):
+        # dOmega/dzeta = -i*(sigma_ss/2)*rho01, marched by cumulative trapezoid
+        np.add(v.r01_next, v.r01_prev, out=pairs_flat)
+        np.multiply(pairs_flat, half_dz, out=pairs_flat)
+        np.add.accumulate(pairs_read, axis=1, out=integ_tail)
+        np.multiply(i_half_alpha, integ, out=scratch)
+        np.subtract(bnd, scratch, out=om)
+
+    def deriv(v, d):
+        # d rho11 = -rho11 + Im(om conj(rho01)), the cross term
+        # 0.5j*(om rho01* - om* rho01) bit for bit; d rho00 = -d rho11
+        np.multiply(om, np.conj(v.r01, out=scratch), out=scratch)
+        np.subtract(cross, v.r11_re, out=d.r11_re)
+        np.negative(d.r11_re, out=d.r00_re)
+        # d rho01 = -(1/2 + i detuning) rho01 + (0.5j om) (rho11 - rho00)
+        np.subtract(v.r11, v.r00, out=d.r01)
+        np.multiply(0.5j, om, out=scratch)
+        np.multiply(scratch, d.r01, out=scratch)
+        np.multiply(neg_damp, v.r01, out=d.r01)
+        np.add(d.r01, scratch, out=d.r01)
+
+    def stage(h, k):
+        # the stage state y + h*k
+        np.multiply(h, k, out=ys)
+        np.add(y, ys, out=ys)
+
     zeta = np.linspace(0.0, 1.0, nz)[recorded]
     rabi = np.empty((rows, len(zeta), n_t + 1), dtype=complex)
     pop = np.empty((2, rows, len(zeta), n_t + 1))       # rho00, rho11
@@ -180,25 +238,38 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
 
     h2 = 0.5 * dt
     h6 = dt / 6.0
-    om = field_profile(y[2], boundary[0])
-    rabi[..., 0] = om[:, recorded]
-    pop[..., 0] = y[:2, :, recorded].real
-    coh[..., 0] = y[2, :, recorded]
+    # views are made once: the buffers they look into are updated in place
+    y_v, ys_v, k1_v, k2_v, k3_v, k4_v = map(_StateViews.of, (y, ys, k1, k2, k3, k4))
+    om_rec, pop_rec, coh_rec = om[:, recorded], y[:2, :, recorded].real, y[2, :, recorded]
+    field_profile(y_v, boundary[0])
+    rabi[..., 0] = om_rec
+    pop[..., 0] = pop_rec
+    coh[..., 0] = coh_rec
     for k in range(n_t):
-        bm = bnd_mid[k]
-        k1 = deriv(y, om)
-        y2 = y + h2 * k1
-        k2 = deriv(y2, field_profile(y2[2], bm))
-        y3 = y + h2 * k2
-        k3 = deriv(y3, field_profile(y3[2], bm))
-        y4 = y + dt * k3
-        k4 = deriv(y4, field_profile(y4[2], boundary[k + 1]))
-        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        bm, bnd_next = bnd_mid[k], boundary[k + 1]
+        deriv(y_v, k1_v)
+        stage(h2, k1)
+        field_profile(ys_v, bm)
+        deriv(ys_v, k2_v)
+        stage(h2, k2)
+        field_profile(ys_v, bm)
+        deriv(ys_v, k3_v)
+        stage(dt, k3)
+        field_profile(ys_v, bnd_next)
+        deriv(ys_v, k4_v)
+        # y + h6*(k1 + 2*k2 + 2*k3 + k4), summed in that order into k1
+        np.multiply(2, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(2, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(h6, k1, out=k1)
+        np.add(y, k1, out=y)
         # the field at t_{k+1} is also the next step's first-stage field
-        om = field_profile(y[2], boundary[k + 1])
-        rabi[..., k + 1] = om[:, recorded]
-        pop[..., k + 1] = y[:2, :, recorded].real
-        coh[..., k + 1] = y[2, :, recorded]
+        field_profile(y_v, bnd_next)
+        rabi[..., k + 1] = om_rec
+        pop[..., k + 1] = pop_rec
+        coh[..., k + 1] = coh_rec
 
     return [FieldGrid(z_points=zeta, t_points=t, rabi=rabi[b],
                       rho00=pop[0, b], rho11=pop[1, b], rho01=coh[b], sigma_ss=sigma_ss)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import subprocess
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,10 +45,16 @@ MEMORY_BUDGET = 2 * 1024**3
 #: N x N float64 arrays live at once in a collective realization: H0, and
 #: the input copy and the factor of its Cholesky certificate
 CD_LIVE_MATRICES = 3
-#: Maxwell-Bloch bytes per z node and batch row of the RK4 state and its
-#: stage temporaries, and per recorded (z, t) sample and row
-MB_NODE_BYTES = 640
+#: Maxwell-Bloch bytes per z node and batch row: the RK4 state, the stage
+#: state, k1..k4 (6 x 48), six complex z buffers (96) and numpy's buffer for
+#: the boundary drive broadcast along z (16)
+MB_NODE_BYTES = 400
+#: per recorded (z, t) sample and row: the field, rho01 and two populations
 MB_SAMPLE_BYTES = 48
+#: per time level and row: the complex boundary drive at t_k and at the RK4
+#: midpoints (32), with room for the shared time axis (8) and the loop's
+#: fixed 15 KB of views and small arrays
+MB_STEP_BYTES = 64
 
 #: failures that end a sweep early; the completed rows are still written
 FIT_ERRORS = (analysis.FitError, analysis.DegenerateTraceError)
@@ -147,14 +154,16 @@ def peak_bytes(recipe: ExperimentRecipe) -> int:
 
     Collective: CD_LIVE_MATRICES N x N float64 arrays.  Maxwell-Bloch: the
     largest batch of points sharing a z grid, each row holding its RK4
-    state on z_steps + 1 nodes and its recorded planes (both ends, or every
-    node with ``dump_grid``) at every time step.
+    buffers on z_steps + 1 nodes, and at every time level its boundary
+    drive and its recorded planes (both ends, or every node with
+    ``dump_grid``).
     """
     if recipe.model == "coupled_dipole":
         return CD_LIVE_MATRICES * 8 * recipe.ensemble.atom_count**2
     t_steps = round(maxwell_bloch.DEFAULT_STEPS_PER_TAU * maxwell_bloch.DEFAULT_T_MAX) + 1
     return max(len(batch) * ((z + 1) * MB_NODE_BYTES
-                             + (z + 1 if recipe.dump_grid else 2) * t_steps * MB_SAMPLE_BYTES)
+                             + t_steps * ((z + 1 if recipe.dump_grid else 2) * MB_SAMPLE_BYTES
+                                          + MB_STEP_BYTES))
                for z, batch in _mb_batches(recipe).items())
 
 
@@ -279,17 +288,33 @@ def _config_hash(recipe: ExperimentRecipe) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """One line per row of ``columns`` (equal-length sequences or arrays),
+    floats as ``.12g`` and integers in full.  Arrays are read as Python
+    numbers first, which format about twice as fast as numpy scalars; the
+    line template is taken from the types of the first row."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    first = next(rows, None)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if first is None:
+            return
+        line = ",".join("{}" if isinstance(v, (int, np.integer)) else "{:.12g}"
+                        for v in first) + "\n"
+        fh.write(line.format(*first))
+        fh.writelines(line.format(*row) for row in rows)
+
+
+def _write_npz(path, arrays):
+    """``arrays`` as the .npy entries np.savez_compressed writes, deflated
+    at zlib level 1: about half the CPU of its default level for the same
+    size.  Entries carry zipfile's fixed 1980 timestamp, so a rerun writes
+    the same bytes."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED,
+                         allowZip64=True, compresslevel=1) as archive:
+        for name, value in arrays.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(value))
 
 
 def _mb_batches(recipe: ExperimentRecipe) -> dict[int, list[tuple[int, PulseShape, float]]]:
@@ -321,14 +346,13 @@ def _mb_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
             fit = analysis.fit_rise_time(analysis.optical_depth_trace(trace))
             _write_csv(os.path.join(run_dir, f"point_{index:02d}_trace.csv"),
                        ["t_ns", "I_input", "I_output"],
-                       zip(species.time_to_ns(trace.t_points), trace.intensity_input,
-                           trace.intensity_output))
+                       [species.time_to_ns(trace.t_points), trace.intensity_input,
+                        trace.intensity_output])
             if recipe.dump_grid:
-                np.savez_compressed(
-                    os.path.join(run_dir, f"point_{index:02d}_grid.npz"),
+                _write_npz(os.path.join(run_dir, f"point_{index:02d}_grid.npz"), dict(
                     z_points=grid.z_points, t_ns=species.time_to_ns(grid.t_points),
                     rabi=grid.rabi, rho00=grid.rho00, rho11=grid.rho11, rho01=grid.rho01,
-                    sigma_ss=grid.sigma_ss)
+                    sigma_ss=grid.sigma_ss))
             yield SweepRow(swept_value=recipe.sweep_values[index], sigma_ss=sigma_ss,
                            tau_over_2tau_a=fit.tau / 2.0, tau_err_over_2tau_a=0.0,
                            seed=base_seed)
@@ -381,11 +405,11 @@ def _write_cd_traces(prefix, result, sigma_ss, gamma_dd, species):
     """The aggregate P(t) and each realization's trace and sidecar."""
     t_ns = species.time_to_ns(result.t_points)
     _write_csv(f"{prefix}_aggregate.csv", ["t_ns", "P_mean", "P_stderr"],
-               zip(t_ns, result.p_mean, result.p_stderr))
+               [t_ns, result.p_mean, result.p_stderr])
     for r, (trace, realization, seed) in enumerate(
             zip(result.traces, result.realizations, result.seeds)):
         _write_csv(f"{prefix}_real_{r:02d}.csv", ["t_ns", "P_normalized"],
-                   zip(t_ns, trace.p_normalized))
+                   [t_ns, trace.p_normalized])
         meta = {"seed": seed, "positions_hash": realization.positions_hash(),
                 "sigma_ss": sigma_ss, "gamma_dd_over_gamma": gamma_dd}
         with open(f"{prefix}_real_{r:02d}.json", "w") as fh:
@@ -438,11 +462,9 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     }
     if error is not None:
         meta["error"] = {"type": type(error).__name__, "message": str(error)}
-    _write_csv(os.path.join(run_dir, "sweep.csv"),
-               ["swept_value", "sigma_ss", "tau_over_2tau_a", "tau_err_over_2tau_a",
-                "seed"],
-               [(r.swept_value, r.sigma_ss, r.tau_over_2tau_a, r.tau_err_over_2tau_a,
-                 r.seed) for r in collected])
+    header = ["swept_value", "sigma_ss", "tau_over_2tau_a", "tau_err_over_2tau_a", "seed"]
+    _write_csv(os.path.join(run_dir, "sweep.csv"), header,
+               [[getattr(r, name) for r in collected] for name in header])
     with open(os.path.join(run_dir, "sweep_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
 

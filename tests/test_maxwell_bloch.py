@@ -5,7 +5,7 @@ import pytest
 
 from subabsorb.core import DomainError, PulseShape
 from subabsorb.maxwell_bloch import (ResolutionError, analytic_weak_field,
-                                     propagate_batch, propagate_pulse,
+                                     default_z_steps, propagate_batch, propagate_pulse,
                                      simulate_transmission)
 
 
@@ -42,6 +42,59 @@ def bloch(pulse, t_max):
     grid = propagate_batch([pulse], [0.0], t_max=t_max, full_grid=True)[0]
     assert grid.t_points[1] == pytest.approx(0.005, rel=1e-12)
     return grid.t_points, grid.rho00, grid.rho11, grid.rho01
+
+
+def expression_form_batch(pulses, depths, t_max=8.0, steps_per_tau=200, z_steps=None,
+                          full_grid=False):
+    """Reference copy of the Maxwell-Bloch time loop written as whole-array
+    expressions: every stage allocates its derivative, stage state and
+    field, and the cross term is 0.5j*(om rho01* - om* rho01).  Returns
+    (rabi, rho00, rho11, rho01), each indexed [row, z, t]."""
+    sigmas = [float(d) for d in depths]
+    if z_steps is None:
+        z_steps = default_z_steps(sigmas[0])
+    n_t = int(round(steps_per_tau * t_max))
+    t = np.linspace(0.0, t_max, n_t + 1)
+    dt = t[1] - t[0]
+    nz = z_steps + 1
+    half_dz = 0.5 * (1.0 / z_steps)
+    recorded = slice(None) if full_grid else slice(None, None, z_steps)
+    neg_damp = np.array([[-(0.5 + 1j * p.detuning)] for p in pulses])
+    i_half_alpha = np.array([[1j * (0.5 * s)] for s in sigmas])
+    boundary = np.stack([p.envelope(t) for p in pulses], axis=1)[:, :, None] + 0j
+    bnd_mid = np.stack([p.envelope(t[:-1] + 0.5 * dt) for p in pulses],
+                       axis=1)[:, :, None] + 0j
+
+    def field_profile(r01, bnd):
+        integ = np.zeros(r01.shape, dtype=complex)
+        integ[:, 1:] = np.cumsum((r01[:, 1:] + r01[:, :-1]) * half_dz, axis=1)
+        return bnd - i_half_alpha * integ
+
+    def deriv(y, om):
+        r00, r11, r01 = y
+        cross = 0.5j * (om * np.conj(r01) - np.conj(om) * r01)
+        return np.stack([r11 + cross, -r11 - cross,
+                         neg_damp * r01 + 0.5j * om * (r11 - r00)])
+
+    y = np.zeros((3, len(sigmas), nz), dtype=complex)
+    y[0] = 1.0
+    om = field_profile(y[2], boundary[0])
+    rabi, states = [om[:, recorded]], [y[:, :, recorded]]
+    h2, h6 = 0.5 * dt, dt / 6.0
+    for k in range(n_t):
+        k1 = deriv(y, om)
+        y2 = y + h2 * k1
+        k2 = deriv(y2, field_profile(y2[2], bnd_mid[k]))
+        y3 = y + h2 * k2
+        k3 = deriv(y3, field_profile(y3[2], bnd_mid[k]))
+        y4 = y + dt * k3
+        k4 = deriv(y4, field_profile(y4[2], boundary[k + 1]))
+        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        om = field_profile(y[2], boundary[k + 1])
+        rabi.append(om[:, recorded])
+        states.append(y[:, :, recorded])
+    states = np.stack(states, axis=-1)
+    return np.stack(rabi, axis=-1), states[0].real, states[1].real, states[2]
 
 
 class TestDensityMatrix:
@@ -206,6 +259,38 @@ class TestBatch:
         # default_z_steps is 50 up to sigma_ss = 2.5 and 60 at 3.0
         with pytest.raises(ResolutionError):
             propagate_batch([PulseShape()] * 2, [0.5, 3.0])
+
+    @pytest.mark.parametrize("pulses,depths", [
+        ([PulseShape()], [0.5, 1.0]),
+        ([PulseShape(), PulseShape(detuning=0.3)], [0.5]),
+        ([], []),
+    ], ids=["one-pulse-two-depths", "two-pulses-one-depth", "empty"])
+    def test_unpaired_or_empty_batch_rejected(self, pulses, depths):
+        with pytest.raises(DomainError):
+            propagate_batch(pulses, depths)
+
+    @pytest.mark.parametrize("pulses,depths,kwargs", [
+        ([PulseShape(kind="step")] * 4, [0.024, 0.3, 1.11, 2.5], {}),
+        ([PulseShape(kind="step", detuning=d) for d in (0.0, 1.0 / 3.0, -0.4, 1.1)],
+         [1.0] * 4, {}),
+        ([PulseShape(kind="smooth_ramp", detuning=0.2), PulseShape()], [0.5, 0.8], {}),
+        ([PulseShape(detuning=0.5), PulseShape(kind="step")], [0.2, 0.9],
+         {"full_grid": True}),
+        ([PulseShape(), PulseShape(kind="step", detuning=0.7)], [0.1, 0.35],
+         {"z_steps": 7, "t_max": 3.0}),
+        ([PulseShape(kind="step"), PulseShape(detuning=-0.3)], [0.0, 0.0],
+         {"full_grid": True, "t_max": 2.0}),
+    ], ids=["mixed-depths", "mixed-detunings", "ramped", "full-grid", "z-steps",
+            "zero-depth"])
+    def test_bit_identical_to_expression_form(self, pulses, depths, kwargs):
+        # the buffered loop makes the same floating-point operations in the
+        # same order as the whole-array expressions, so no bit may move
+        grids = propagate_batch(pulses, depths, **kwargs)
+        reference = expression_form_batch(pulses, depths, **kwargs)
+        for name, ref in zip(("rabi", "rho00", "rho11", "rho01"), reference):
+            got = np.stack([getattr(grid, name) for grid in grids])
+            assert got.dtype == ref.dtype, name
+            assert np.array_equal(got, ref), name
 
 
 class TestTransmission:

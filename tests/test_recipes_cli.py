@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +122,27 @@ class TestCatalog:
         ten = replace(one, sweep_values=tuple(0.1 * k for k in range(10)))
         assert recipes.peak_bytes(ten) == 10 * recipes.peak_bytes(one)
 
+    @pytest.mark.parametrize("values,dump_grid", [((0.1, 0.2, 0.3, 0.4), False),
+                                                  ((0.5,), True)],
+                             ids=["four-rows", "full-grid"])
+    def test_estimate_bounds_the_propagation_peak(self, values, dump_grid):
+        # the recipe is one z-grid batch; its propagation is traced after a
+        # warm-up call, so one-time allocations do not count
+        recipe = ExperimentRecipe(name="x", model="maxwell_bloch", swept_parameter="sigma_ss",
+                                  sweep_values=values, dump_grid=dump_grid)
+        (batch,) = recipes._mb_batches(recipe).values()
+        pulses, depths = [pulse for _, pulse, _ in batch], [depth for _, _, depth in batch]
+        maxwell_bloch.propagate_batch(pulses, depths, full_grid=dump_grid)
+        tracemalloc.start()
+        try:
+            maxwell_bloch.propagate_batch(pulses, depths, full_grid=dump_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = recipes.peak_bytes(recipe)
+        # an upper bound, and not a loose one
+        assert 0.75 * estimate < peak < estimate
+
     @pytest.mark.parametrize("model,parameter", [("coupled_dipole", "detuning"),
                                                  ("maxwell_bloch", "beta"),
                                                  ("maxwell_bloch", "box_side")])
@@ -159,6 +182,17 @@ class TestRunRecipe:
         for row in run_recipe(tiny_cd_recipe(), tmp_path):
             assert row.tau_over_2tau_a > 0
 
+    def test_csv_number_formats(self, tmp_path):
+        # floats as .12g, integers (the seed column) in full, from arrays
+        # and from lists
+        columns = [[0.1, -2.5e-13], np.array([1.0 / 3.0, np.nan]), [7, 10**13],
+                   np.array([3, 4])]
+        recipes._write_csv(tmp_path / "a.csv", ["x", "y", "seed", "k"], columns)
+        assert (tmp_path / "a.csv").read_text() == \
+            "x,y,seed,k\n0.1,0.333333333333,7,3\n-2.5e-13,nan,10000000000000,4\n"
+        recipes._write_csv(tmp_path / "b.csv", ["x", "seed"], [[], []])
+        assert (tmp_path / "b.csv").read_text() == "x,seed\n"
+
     def test_byte_identical_rerun(self, tmp_path):
         recipe = tiny_cd_recipe()
         run_recipe(recipe, tmp_path / "a")
@@ -189,16 +223,35 @@ class TestRunRecipe:
         recipe = ExperimentRecipe(name="dump", model="maxwell_bloch",
                                   swept_parameter="sigma_ss", sweep_values=(0.5,),
                                   dump_grid=True)
-        run_recipe(recipe, tmp_path)
+        run_recipe(recipe, tmp_path / "a")
         # the trace and the dumped grid come from one propagation
         assert rows_per_call == [1]
-        with np.load(tmp_path / "dump" / "point_00_grid.npz") as grid:
+        path = tmp_path / "a" / "dump" / "point_00_grid.npz"
+        with np.load(path) as grid:
             assert {"z_points", "t_ns", "rabi", "rho00", "rho11", "rho01",
                     "sigma_ss"} <= set(grid.files)
             assert grid["rabi"].shape == (len(grid["z_points"]), len(grid["t_ns"]))
             # positions across the medium as the fraction zeta = z/L
             np.testing.assert_array_equal(grid["z_points"],
                                           np.linspace(0.0, 1.0, len(grid["z_points"])))
+        # the same .npy entries as np.savez_compressed, each deflated
+        alone = maxwell_bloch.propagate_pulse(recipe.pulse, 0.5)
+        reference = tmp_path / "reference.npz"
+        np.savez_compressed(reference, z_points=alone.z_points,
+                            t_ns=recipe.species.time_to_ns(alone.t_points), rabi=alone.rabi,
+                            rho00=alone.rho00, rho11=alone.rho11, rho01=alone.rho01,
+                            sigma_ss=alone.sigma_ss)
+        with np.load(path) as grid, np.load(reference) as ref:
+            assert grid.files == ref.files
+            for name in ref.files:
+                assert grid[name].dtype == ref[name].dtype, name
+                assert np.array_equal(grid[name], ref[name]), name
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+        # entries carry a fixed timestamp, so a rerun writes the same bytes
+        run_recipe(recipe, tmp_path / "b")
+        assert read_bytes(path) == read_bytes(tmp_path / "b" / "dump" / "point_00_grid.npz")
 
     def test_mb_points_propagate_in_one_batch_per_z_grid(self, tmp_path, monkeypatch):
         # sigma_ss 2.6 needs 52 z steps, the others the default 50
