@@ -92,12 +92,23 @@ def _read_trace_csv(path, lifetime_ns):
     raise ConfigError("trace CSV needs either sigma or I_input/I_output columns")
 
 
+def _check_run_dir(run_dir):
+    """Refuse a run directory that an existing non-directory stands in the way of."""
+    existing = os.path.abspath(run_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot make output directory {run_dir}: "
+                          f"{existing} is not a directory")
+
+
 def cmd_run(args) -> int:
     if os.path.exists(args.recipe) or args.recipe.endswith(".json"):
         recipe = recipes.load_recipe(args.recipe)
     else:
         recipe = recipes.get_recipe(args.recipe)
     out_dir = _default_out(args.out)
+    _check_run_dir(os.path.join(out_dir, recipe.name))
     rows = recipes.run_recipe(recipe, out_dir, seed=args.seed,
                               realizations=args.realizations)
     print(f"{recipe.name}: {len(rows)} rows -> "

@@ -22,13 +22,22 @@ H(S) = I/2 + S*(H0 - I/2), every H(S) has the same Krylov space and the
 rule at S is the rule at S = 1 with its nodes mapped by
 lambda -> 1/2 + S*(lambda - 1/2), so one Lanczos run per realization
 serves every gamma_DD (see RealizationSpectrum).
+
+Every H(S) with S < 1 is positive by structure: H0 = Gamma/2 is half the
+cooperative decay matrix, a Gram matrix in both coupling modes (Lehmberg,
+Phys. Rev. A 2, 883 (1970)), so H(S) = (1 - S)/2 I + S H0 has no eigenvalue
+below (1 - S)/2, less the rounding of the assembly.  That rounding is
+bounded by half the realization's Gram margin delta (_gram_margin), so a
+point that reads S < 1 - delta needs no certificate.  Only a point at
+S >= 1 - delta asks for one: a Cholesky factorization of H0, or the exact
+smallest eigenvalue where it fails (_positivity).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +56,9 @@ ASSEMBLY_BLOCK = 64               # rows of H filled per block of pair separatio
 #: over LANCZOS_STRIDE block steps
 LANCZOS_TOL = 1e-13
 LANCZOS_STRIDE = 4                # block steps between readout checks
+#: c of _gram_margin: every assembled entry of H0 is within
+#: GRAM_ROUNDING * eps * (1 + (k r)^-2) of its exact value
+GRAM_ROUNDING = 32
 
 
 class DensityTooHighError(RuntimeError):
@@ -344,15 +356,27 @@ class RealizationSpectrum:
     |(Q^T e^{ikz})_j|^2.
 
     Ritz values lie inside [lambda_min, lambda_max] of H0, so a positive
-    smallest node does not prove H0 positive.  lambda0_min is None when a
-    Cholesky factorization of H0 succeeded, which proves every H(S) with
-    S <= 1 positive; otherwise it is the exact smallest eigenvalue of H0.
+    smallest node does not prove H0 positive.  Positivity is settled in one
+    of three ways:
+    - gram_margin is delta and lambda0_min None: the certificate has not
+      run; the Gram structure of H0 proves every H(S) with S < 1 - delta
+      positive, and a read at S >= 1 - delta needs the certificate first;
+    - both None: a Cholesky factorization of H0 succeeded, which proves
+      every H(S) with S <= 1 positive;
+    - lambda0_min set (gram_margin None): Cholesky failed, and lambda0_min
+      is the exact smallest eigenvalue of H0.
     """
 
     realization: EnsembleRealization
     lambda0: np.ndarray
     weights: np.ndarray
     lambda0_min: float | None
+    gram_margin: float | None
+
+    def uncertified_at(self, suppression: float) -> bool:
+        """Whether a read at S = suppression needs the certificate that has
+        not run."""
+        return self.gram_margin is not None and not suppression < 1.0 - self.gram_margin
 
 
 def _readout(lam: np.ndarray, w: np.ndarray, t_points: np.ndarray):
@@ -442,6 +466,35 @@ def _gauss_rule(h0: np.ndarray, drive: np.ndarray):
         lo, k = k, k + r
 
 
+def _gram_margin(realization: EnsembleRealization) -> float:
+    """delta = 2 * a bound on ||computed H0 - exact H0||_2 for the
+    realization's positions: every H(S) with S < 1 - delta assembled from
+    them is positive (its eigenvalues are at least (1 - S)/2 - S*delta/2).
+
+    With u = eps/2 and every operation, sin, cos and pow rounded to within
+    1 ulp, a first-order tally over _exchange gives, per entry at x = k r:
+    - x = K_A*r itself carries at most 5.5u (differences, squares, sums,
+      sqrt, K_A), and cos^2 th at most 12u absolute;
+    - evaluating the exact coupling at the perturbed x costs
+      0.75*(1.07 + 2*0.31)*5.5u = 7u (|cos x - sin x/x| <= 1.07 and
+      |x g'(x)| <= 0.31 for the near bracket g = cos x/x^2 - sin x/x^3);
+    - the far term sin(x)(1 - cos^2)/x and the angular factors of the near
+      term add 26u once scaled by 0.75;
+    - the near bracket cancels: its two terms are each about 1/x^2, and
+      their 9u of relative rounding leaves 0.75*2*9u/x^2 = 13.5u/x^2
+      absolute (the factor 2 is |1 - 3 cos^2|).
+    That is about 17 eps (1 + x^-2); GRAM_ROUNDING = 32 doubles it for the
+    second-order terms and kernels of up to 2 ulp.  Every pair is at least
+    min_pair_distance d apart and the diagonal is exact, so the 2-norm,
+    at most the largest row sum of |error|, is below
+    N * GRAM_ROUNDING * eps * (1 + (k d)^-2).  At N = 200 a pair closer
+    than 2.6e-7 lambda makes delta >= 1, and every read is then certified.
+    """
+    near = 1.0 / (K_A * realization.min_pair_distance)
+    return (2.0 * realization.atom_count * GRAM_ROUNDING * np.finfo(float).eps
+            * (1.0 + near * near))
+
+
 def _positivity(h0: np.ndarray) -> float | None:
     """None when Cholesky proves H0 positive definite, else its exact
     smallest eigenvalue."""
@@ -452,19 +505,33 @@ def _positivity(h0: np.ndarray) -> float | None:
     return None
 
 
-def _spectrum(realization: EnsembleRealization, h0: np.ndarray) -> RealizationSpectrum:
-    """The Gauss rule of H0 for the realization's drive, and its positivity."""
+def _spectrum(realization: EnsembleRealization, h0: np.ndarray,
+              gram_margin: float | None = None) -> RealizationSpectrum:
+    """The Gauss rule of H0 for the realization's drive, and its positivity.
+
+    H0 is certified now unless gram_margin is given, which only an H0 from
+    build_coupling_matrix may claim, and only for reads below 1 - gram_margin.
+    """
     kz = K_A * realization.positions[:, 2]
     lambda0, weights = _gauss_rule(h0, np.stack([np.cos(kz), np.sin(kz)]))
+    lambda0_min = _positivity(h0) if gram_margin is None else None
     return RealizationSpectrum(realization=realization, lambda0=lambda0, weights=weights,
-                               lambda0_min=_positivity(h0))
+                               lambda0_min=lambda0_min, gram_margin=gram_margin)
 
 
-def realization_spectrum(config: EnsembleConfig, seed: int,
-                         mode: str = "vectorial") -> RealizationSpectrum:
-    """Sample one realization and read the Gauss rule of its undephased H0."""
+def realization_spectrum(config: EnsembleConfig, seed: int, mode: str = "vectorial",
+                         suppression: float = 1.0) -> RealizationSpectrum:
+    """Sample one realization and read the Gauss rule of its undephased H0.
+
+    ``suppression`` is the S the caller reads first.  H0 is certified only
+    when it is at least 1 - delta (_gram_margin); below that the Gram
+    bound proves positivity and the certificate is left to a later read
+    that needs it (run_realization).  The default certifies.
+    """
     realization = sample_positions(config, seed)
-    return _spectrum(realization, build_coupling_matrix(realization, gamma_dd=0.0, mode=mode))
+    h0 = build_coupling_matrix(realization, gamma_dd=0.0, mode=mode)
+    margin = _gram_margin(realization)
+    return _spectrum(realization, h0, margin if suppression < 1.0 - margin else None)
 
 
 def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude: float,
@@ -475,10 +542,17 @@ def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude:
     lambda = 1/2 + S*(lambda0 - 1/2):
     raw P(t) = Omega0 |sum_j w_j phi_j(t)|, steady state Omega0 |sum_j w_j/lambda_j|
     and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  A spectrum that is not
-    positive has no steady state and raises DomainError; its smallest
-    eigenvalue at S is the mapped lambda0_min when Cholesky did not certify
-    H0 (the map is increasing, so it takes the minimum to the minimum).
+    positive has no steady state and raises DomainError.  Below
+    S = 1 - gram_margin positivity comes from the Gram structure of H0;
+    above it from the Cholesky certificate, or, where that failed, from the
+    smallest eigenvalue at S: the mapped lambda0_min (the map is
+    increasing, so it takes the minimum to the minimum).  Reading an
+    uncertified spectrum above 1 - gram_margin raises ValueError.
     """
+    if spectrum.uncertified_at(suppression):
+        raise ValueError(f"S = {suppression!r} needs the positivity certificate, which "
+                         "this spectrum has not run")
+
     def at_s(lam0):
         # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
         return lam0 if suppression == 1.0 else 0.5 + suppression * (lam0 - 0.5)
@@ -512,17 +586,24 @@ def run_realization(config: EnsembleConfig, seed: int,
     ``spectra`` is an optional cache of RealizationSpectrum keyed by the
     geometry (seed, box, atom_count, min_pair_separation, mode); a sweep
     over the dephasing coefficient passes the same dict for every value so
-    each geometry is sampled and read once.
+    each geometry is sampled and read once.  Its positivity is certified
+    at most once, by the first read at S >= 1 - delta; when an earlier read
+    left the spectrum uncertified, H0 is assembled again from the stored
+    positions (the same operations, so the same bits) for the certificate.
     """
     if pulse is None:
         pulse = PulseShape(kind="step")
     spectra = {} if spectra is None else spectra
     key = (seed, config.box, config.atom_count, config.min_pair_separation, mode)
-    if key not in spectra:
-        spectra[key] = realization_spectrum(config, seed, mode=mode)
-    spectrum = spectra[key]
-    trace = spectral_trace(spectrum, suppression_factor(config.gamma_dd(species)),
-                           pulse.amplitude, T_POINTS)
+    suppression = suppression_factor(config.gamma_dd(species))
+    spectrum = spectra.get(key)
+    if spectrum is None:
+        spectrum = realization_spectrum(config, seed, mode=mode, suppression=suppression)
+    elif spectrum.uncertified_at(suppression):
+        h0 = build_coupling_matrix(spectrum.realization, gamma_dd=0.0, mode=mode)
+        spectrum = replace(spectrum, lambda0_min=_positivity(h0), gram_margin=None)
+    spectra[key] = spectrum
+    trace = spectral_trace(spectrum, suppression, pulse.amplitude, T_POINTS)
     return trace, spectrum.realization
 
 

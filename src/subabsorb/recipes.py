@@ -40,10 +40,13 @@ DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
 
 #: largest estimated peak memory (bytes) of a recipe; anything above it is
 #: refused at load.  Catalog recipes are estimated at 6 MiB or less and an
-#: N = 1500 collective sweep at 52 MiB; 2 GiB admits N up to about 9400
+#: N = 1500 collective sweep at 52 MiB, counting the two certificate arrays
+#: although a sweep that reads no point at S >= 1 - delta never holds them;
+#: 2 GiB admits N up to about 9400
 MEMORY_BUDGET = 2 * 1024**3
-#: N x N float64 arrays live at once in a collective realization: H0, and
-#: the input copy and the factor of its Cholesky certificate
+#: N x N float64 arrays live at once in a collective realization: H0, and,
+#: only at a point that reads S >= 1 - delta (beta = 0), the input copy and
+#: the factor of its Cholesky certificate.  An upper bound for every recipe
 CD_LIVE_MATRICES = 3
 #: Maxwell-Bloch bytes per z node and batch row: the RK4 state, the stage
 #: state, k1..k4 (6 x 48), six complex z buffers (96) and numpy's buffer for

@@ -9,9 +9,9 @@ from scipy.special import spherical_jn
 from subabsorb import coupled_dipole
 from subabsorb.core import (AtomicSpecies, DomainError, EnsembleConfig, PulseShape,
                             box_side_for_sigma_ss)
-from subabsorb.coupled_dipole import (SAMPLE_BLOCK, DensityTooHighError,
+from subabsorb.coupled_dipole import (GRAM_ROUNDING, SAMPLE_BLOCK, DensityTooHighError,
                                       EnsembleRealization, PerturbativeBoundError,
-                                      T_POINTS, _exchange, _readout,
+                                      T_POINTS, _exchange, _gram_margin, _readout,
                                       _spectrum, build_coupling_matrix,
                                       dipole_trace, drive_vector, evolve_closed_form,
                                       realization_spectrum, rk4_amplitudes, run_ensemble,
@@ -647,3 +647,108 @@ class TestLanczosReadout:
             side = box_side_for_sigma_ss(sigma_ss, n)
             cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
             assert realization_spectrum(cfg, 1, mode=mode).lambda0_min is None
+
+
+def exchange_longdouble(dx, dy, dz, mode):
+    """The real exchange kernel of _exchange in extended precision, for
+    separations taken exactly from float64 positions."""
+    ld = np.longdouble
+    dx, dy, dz = (np.asarray(c, dtype=ld) for c in (dx, dy, dz))
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    kr = 2 * ld("3.14159265358979323846264338327950288") * r
+    cos2 = ld(1) if mode == "scalar" else (dx / r) ** 2
+    near = (np.cos(kr) / kr**2 - np.sin(kr) / kr**3) * (1 - 3 * cos2)
+    return ld(0.75) * ((1 - cos2) * np.sin(kr) / kr + near), kr
+
+
+class TestGramMargin:
+    """The rounding bound behind the Gram margin delta of _gram_margin."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
+    def test_entry_rounding_within_the_derived_bound(self, mode):
+        # |computed - exact| <= GRAM_ROUNDING eps (1 + (kr)^-2) per entry,
+        # from near-field cancellation at 1e-4 lambda to the far field
+        rng = np.random.default_rng(5)
+        eps = np.finfo(float).eps
+        for scale in (1e-4, 1e-3, 1e-2, 0.05, 0.3, 1.0, 5.0, 20.0):
+            a = rng.uniform(0.0, 12.0, size=(3, 20_000))
+            step = rng.normal(size=(3, 20_000))
+            step *= scale * rng.uniform(0.5, 2.0, size=20_000) / np.linalg.norm(step, axis=0)
+            b = a - step
+            computed = _exchange(*(a - b), mode=mode)
+            exact, kr = exchange_longdouble(*(a.astype(np.longdouble) - b), mode=mode)
+            ratio = np.abs(computed - exact) / (eps * (1 + kr**-2))
+            assert float(ratio.max()) <= GRAM_ROUNDING
+
+    @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
+    @pytest.mark.parametrize("r_min", [0.05, 0.01, 0.001])
+    def test_smallest_eigenvalue_within_half_the_margin(self, mode, r_min):
+        lowest = []
+        for side in (1.0, 2.0, 4.0, 8.0, 12.0):
+            for n, seed in ((40, 1), (300, 2)):
+                cfg = EnsembleConfig(atom_count=n, box=(side,) * 3, min_pair_separation=r_min)
+                realization = sample_positions(cfg, seed)
+                lam = np.linalg.eigvalsh(build_coupling_matrix(realization, mode=mode))[0]
+                margin = _gram_margin(realization)
+                assert lam >= -margin / 2
+                assert margin < 1e-3
+                lowest.append(lam)
+        # the dense cubes do reach rounding level, so the check has teeth
+        assert min(lowest) < 1e-10
+
+    def test_close_pair_without_exclusion_always_certifies(self, monkeypatch):
+        cfg = EnsembleConfig(atom_count=200, box=(3.0,) * 3, min_pair_separation=0.0)
+        positions = sample_positions(cfg, 1).positions.copy()
+        positions[1] = positions[0] + [1e-8, 0.0, 0.0]
+        diff = positions[:, None, :] - positions[None, :, :]
+        dist = np.sqrt(np.sum(diff**2, axis=-1))[np.triu_indices(200, 1)]
+        close = EnsembleRealization(positions=positions, min_pair_distance=float(dist.min()))
+        assert _gram_margin(close) >= 1.0
+        monkeypatch.setattr(coupled_dipole, "sample_positions", lambda config, seed: close)
+        spectrum = realization_spectrum(cfg, 1, suppression=0.0)
+        assert spectrum.gram_margin is None
+        assert not spectrum.uncertified_at(1.0)
+
+
+class TestLazyCertificate:
+    """The certificate runs only for reads at S >= 1 - delta, once per spectrum."""
+
+    CFG = EnsembleConfig(atom_count=80, box=(3.0, 3.0, 3.0), rng_seed=8)
+
+    def test_dephased_read_leaves_the_certificate_for_later(self):
+        spectrum = realization_spectrum(self.CFG, 8, suppression=0.5)
+        assert spectrum.lambda0_min is None
+        assert spectrum.gram_margin == _gram_margin(spectrum.realization)
+        assert spectrum.uncertified_at(1.0) and not spectrum.uncertified_at(0.5)
+        certified = realization_spectrum(self.CFG, 8)
+        assert certified.gram_margin is None and certified.lambda0_min is None
+        assert np.array_equal(spectrum.lambda0, certified.lambda0)
+        assert np.array_equal(spectrum.weights, certified.weights)
+        with pytest.raises(ValueError, match="certificate"):
+            spectral_trace(spectrum, 1.0, 1e-3, T_POINTS)
+        a = spectral_trace(spectrum, 0.5, 1e-3, T_POINTS)
+        b = spectral_trace(certified, 0.5, 1e-3, T_POINTS)
+        assert np.array_equal(a.p_normalized, b.p_normalized)
+
+    def test_undephased_read_after_a_dephased_one_certifies_once(self, monkeypatch):
+        calls = []
+        original = coupled_dipole._positivity
+
+        def counting(h0):
+            calls.append(h0.copy())
+            return original(h0)
+
+        monkeypatch.setattr(coupled_dipole, "_positivity", counting)
+        dephased = replace(self.CFG, beta_over_2pi_hz_cm3=9e-5)
+        spectra = {}
+        run_realization(dephased, 8, pulse=STEP, spectra=spectra)
+        assert calls == []
+        for cfg in (self.CFG, self.CFG, dephased):
+            run_realization(cfg, 8, pulse=STEP, spectra=spectra)
+        [spectrum] = spectra.values()
+        assert spectrum.gram_margin is None and spectrum.lambda0_min is None
+        # the reassembled H0 is the one an up-front certificate would see
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], build_coupling_matrix(spectrum.realization))

@@ -40,6 +40,19 @@ def counting_batches(monkeypatch):
     return rows_per_call
 
 
+def counting_certificates(monkeypatch):
+    """Record the size of every H0 that coupled_dipole._positivity certifies."""
+    sizes = []
+    original = coupled_dipole._positivity
+
+    def counting(h0):
+        sizes.append(len(h0))
+        return original(h0)
+
+    monkeypatch.setattr(coupled_dipole, "_positivity", counting)
+    return sizes
+
+
 def write_rise_csv(path, u_sigma):
     """A noiseless 60-point sigma(t) rise over [0, 8] tau_a, with these uncertainties."""
     t_ns = np.linspace(0, 8 * 26.2, 60)
@@ -338,6 +351,42 @@ class TestRunRecipe:
         assert len(set(calls)) == 4
 
 
+class TestLazyCertificate:
+    """Sweeps run the positivity certificate only at points with S >= 1 - delta."""
+
+    ENSEMBLE = EnsembleConfig(atom_count=50, rng_seed=5, realization_count=2)
+
+    def best_beta_recipe(self, beta):
+        return replace(get_recipe("fig4b_best_beta"), sweep_values=(0.1, 0.5, 1.5),
+                       ensemble=replace(self.ENSEMBLE, beta_over_2pi_hz_cm3=beta))
+
+    def beta_recipe(self, betas):
+        return ExperimentRecipe(name="beta_order", model="coupled_dipole",
+                                swept_parameter="beta", sweep_values=betas,
+                                od_grid=(0.1, 0.4), pulse=STEP, ensemble=self.ENSEMBLE)
+
+    def test_best_beta_sweep_certifies_nothing(self, tmp_path, monkeypatch):
+        sizes = counting_certificates(monkeypatch)
+        recipe = self.best_beta_recipe(recipes.BEST_BETA)
+        assert recipe.ensemble.beta_over_2pi_hz_cm3 == 4.9e-5
+        assert len(run_recipe(recipe, tmp_path)) == 3
+        assert sizes == []
+
+    def test_undephased_sweep_certifies_each_geometry_once(self, tmp_path, monkeypatch):
+        sizes = counting_certificates(monkeypatch)
+        assert len(run_recipe(self.best_beta_recipe(0.0), tmp_path)) == 3
+        assert sizes == [50] * 6          # 3 points x 2 realizations
+
+    def test_undephased_beta_listed_last_certifies_once_with_the_same_rows(
+            self, tmp_path, monkeypatch):
+        sizes = counting_certificates(monkeypatch)
+        late = run_recipe(self.beta_recipe((9e-5, 0.0)), tmp_path / "late")
+        assert sizes == [50] * 4          # 2 optical depths x 2 realizations
+        early = run_recipe(self.beta_recipe((0.0, 9e-5)), tmp_path / "early")
+        assert len(sizes) == 8
+        assert late == early[2:] + early[:2]
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
@@ -514,6 +563,26 @@ class TestCli:
         assert meta["complete"] is False
         assert meta["error"]["type"] == "DomainError"
         assert "not positive" in meta["error"]["message"]
+
+    @pytest.mark.parametrize("out, blocker", [("file", "file"),
+                                              ("file/runs", "file"),
+                                              ("runs", "runs/fig10_detuning")])
+    def test_run_out_through_a_file_fails_first(self, tmp_path, monkeypatch, capsys,
+                                                out, blocker):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the recipe ran")
+
+        monkeypatch.setattr(recipes, "run_recipe", no_run)
+        (tmp_path / blocker).parent.mkdir(exist_ok=True)
+        (tmp_path / blocker).write_text("kept\n")
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert cli.main(["run", "fig10_detuning", "--out", str(tmp_path / out)]) == \
+            cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(tmp_path / blocker) in err
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+        assert (tmp_path / blocker).read_text() == "kept\n"
 
     def test_fit_out_in_missing_directory_fails_first(self, tmp_path, monkeypatch):
         def no_fit(*args, **kwargs):
