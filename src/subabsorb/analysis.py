@@ -12,7 +12,7 @@ least-squares (Levenberg-Marquardt) iteration started at tau = 2 tau_a,
 implemented batched.  Every fit goes through one core, which derives the
 estimates, boxes and start of each row: fit_rise_times fits a stack of
 traces (a sweep point's realizations) in one pass, and the thousands of
-Monte-Carlo refits run as one more.
+Monte-Carlo refits run through it in blocks of MC_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -32,11 +32,16 @@ MAX_ITERATIONS = 200
 TAIL_FRACTION = 0.125            # trailing part of the window used for the
                                  # steady-state estimate
 MAX_FAILURE_FRACTION = 0.01      # Monte-Carlo refits allowed to fail
-#: (resamples, window points) float64 arrays alive at once at the peak of a
-#: Monte-Carlo refit: the perturbed rows, the fit's residual, exponential,
-#: trial and Jacobian rows, and the copies made when converged rows are
-#: dropped.  tracemalloc measures 12.4 to 12.7 at 10^4 to 4 x 10^4 resamples
+#: (block rows, window points) float64 arrays alive at once at the peak of a
+#: block of Monte-Carlo refits: the perturbed rows, the fit's residual,
+#: exponential, trial and Jacobian rows, and the copies made when converged
+#: rows are dropped.  tracemalloc measures 11.6 to 12.9 for blocks of
+#: MC_BLOCK rows (45 and 92 window points, 10^4 and 4 x 10^4 resamples)
 MC_LIVE_ROW_ARRAYS = 13
+#: Monte-Carlo resamples drawn and refitted together.  Every block pays for
+#: its own slowest rows, so a smaller block runs slower; a larger one holds
+#: more memory
+MC_BLOCK = 2048
 
 
 class FitError(RuntimeError):
@@ -411,8 +416,10 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     All noise comes from one stream: resample i adds row i of
     ``np.random.default_rng(seed).standard_normal((resamples, T))``, scaled
     by u_sigma, to the T window points, so the first R rows of a longer run
-    are the R-resample run.  The perturbed rows go through the same fit
-    core as fit_rise_times, weighted by the trace's own u_sigma, so each
+    are the R-resample run.  The rows are drawn and refitted MC_BLOCK at a
+    time, which draws the same stream, and only the taus of the converged
+    refits are kept between blocks.  The perturbed rows go through the same
+    fit core as fit_rise_times, weighted by the trace's own u_sigma, so each
     refit's estimates, boxes and start are those of a direct fit of that
     row.  Returns the standard deviation of the tau sample.  A trace with
     no positive uncertainty inside the window returns exactly 0 without
@@ -431,25 +438,35 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     uw = np.asarray(trace.u_sigma, dtype=float)[mask]
     if not np.any(uw > 0):
         return 0.0
-    pert = np.random.default_rng(seed).standard_normal((resamples, len(uw)))
-    pert *= uw
-    pert += np.asarray(trace.sigma, dtype=float)[mask]
-    p, cost, _, ok, _ = _fit_rows(t[mask], pert, uw, window)
-    ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
-    failures = int(np.count_nonzero(~ok))
+    tw = t[mask]
+    yw = np.asarray(trace.sigma, dtype=float)[mask]
+    rng = np.random.default_rng(seed)
+    taus = np.empty(resamples)       # taus of the refits that passed, in row order
+    kept = 0
+    for start in range(0, resamples, MC_BLOCK):
+        pert = rng.standard_normal((min(MC_BLOCK, resamples - start), len(uw)))
+        pert *= uw
+        pert += yw
+        p, cost, _, ok, _ = _fit_rows(tw, pert, uw, window)
+        ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
+        good = p[ok, 2]
+        taus[kept:kept + good.size] = good
+        kept += good.size
+    failures = resamples - kept
     if failures > MAX_FAILURE_FRACTION * resamples:
         raise FitError(f"{failures}/{resamples} resample fits failed; "
                        "uncertainty estimate unreliable")
-    return float(np.std(p[ok, 2], ddof=1))
+    return float(np.std(taus[:kept], ddof=1))
 
 
 def monte_carlo_peak_bytes(trace: OpticalDepthTrace, resamples: int,
                            window: tuple[float, float] = FIT_WINDOW) -> int:
     """Estimated peak memory of monte_carlo_uncertainty on this trace,
-    from the resample count and the number of window points alone."""
+    from the resample count and the number of window points alone: one
+    block's row arrays and the kept taus, 8 bytes per resample."""
     t = np.asarray(trace.t_points, dtype=float)
     points = int(np.count_nonzero((t >= window[0]) & (t <= window[1])))
-    return MC_LIVE_ROW_ARRAYS * 8 * resamples * points
+    return MC_LIVE_ROW_ARRAYS * 8 * min(resamples, MC_BLOCK) * points + 8 * resamples
 
 
 def fit_with_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,

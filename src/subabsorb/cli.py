@@ -129,6 +129,8 @@ def cmd_fit(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     species = AtomicSpecies(excited_lifetime_ns=args.lifetime_ns)
+    if args.out and os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise ConfigError(f"directory of --out {args.out} does not exist")
     trace = _read_trace_csv(args.trace, args.lifetime_ns)

@@ -10,6 +10,7 @@ provenance sidecar are written next to it.
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -264,8 +265,10 @@ class SweepRow:
     seed: int
 
 
+@functools.cache
 def _git_hash() -> str:
-    """Commit of the checkout the package was imported from, or "unknown"."""
+    """Commit of the checkout the package was imported from, or "unknown".
+    Asked of git once per process."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
                              text=True, timeout=5,

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -364,6 +365,34 @@ class TestMonteCarloUncertainty:
             taus = [fit_rise_time(make_trace(t, y + row * u, u)).tau for row in noise]
             assert monte_carlo_uncertainty(trace, resamples=resamples, seed=9) == \
                 pytest.approx(np.std(taus, ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_blocks_match_one_draw(self, blocks, extra):
+        # drawn and refitted MC_BLOCK rows at a time, the resamples are the
+        # rows of one (R, T) draw from the seed, fitted in one batch
+        resamples = blocks * analysis.MC_BLOCK + extra
+        trace = self._noisy_trace(seed=5)
+        inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
+        t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
+        noise = np.random.default_rng(13).standard_normal((resamples, len(t)))
+        p, cost, _, ok, _ = _fit_rows(t, noise * u + y, u, FIT_WINDOW)
+        ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
+        assert monte_carlo_uncertainty(trace, resamples=resamples, seed=13) == \
+            np.std(p[ok, 2], ddof=1)
+
+    def test_peak_memory_stops_growing_with_resamples(self):
+        # past one block, each further resample holds only its tau
+        trace = self._noisy_trace(seed=6)
+        peaks = {}
+        for resamples in (10_000, 40_000):
+            tracemalloc.start()
+            try:
+                monte_carlo_uncertainty(trace, resamples=resamples, seed=1)
+                peaks[resamples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[resamples] < analysis.monte_carlo_peak_bytes(trace, resamples)
+        assert peaks[40_000] - peaks[10_000] <= 2**20 + 9 * 30_000
 
     def test_mixed_zero_and_positive_uncertainties_rejected(self):
         # one exact point inside the window leaves no chi^2 to minimize:

@@ -189,7 +189,28 @@ class TestRunRecipe:
                              capture_output=True, text=True)
         expected = out.stdout.strip() if out.returncode == 0 else "unknown"
         monkeypatch.chdir(tmp_path)
+        recipes._git_hash.cache_clear()
         assert recipes._git_hash() == expected
+
+    def test_git_runs_at_most_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        original = subprocess.run
+
+        def counting(cmd, *args, **kwargs):
+            calls.append(cmd)
+            return original(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(recipes.subprocess, "run", counting)
+        recipes._git_hash.cache_clear()
+        recipe = tiny_cd_recipe(sweep_values=(14.0,),
+                                ensemble=EnsembleConfig(atom_count=20, rng_seed=77,
+                                                        realization_count=1))
+        run_recipe(recipe, tmp_path / "a")
+        run_recipe(recipe, tmp_path / "b")
+        assert len([cmd for cmd in calls if cmd[0] == "git"]) <= 1
+        for run in ("a", "b"):
+            prov = json.loads((tmp_path / run / "tiny_cd" / "sweep_meta.json").read_text())
+            assert prov["git_hash"] == recipes._git_hash()
 
     def test_rows_positive_tau(self, tmp_path):
         for row in run_recipe(tiny_cd_recipe(), tmp_path):
@@ -595,6 +616,22 @@ class TestCli:
         assert cli.main(["fit", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.parent.exists()
 
+    def test_fit_out_naming_a_directory_fails_first(self, tmp_path, monkeypatch, capsys):
+        # refused at load: no resample noise is drawn and the directory is left as it was
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        write_rise_csv(tmp_path / "trace.csv", 0.005)
+        out = tmp_path / "fits"
+        out.mkdir()
+        assert cli.main(["fit", str(tmp_path / "trace.csv"), "--out", str(out)]) == \
+            cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert list(out.iterdir()) == []
+
     def test_fit_trace_csv(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         t_ns = np.linspace(0, 8 * 26.2, 210)
@@ -650,10 +687,17 @@ class TestCli:
         path = tmp_path / "trace.csv"
         write_rise_csv(path, 0.005)
         trace = cli._read_trace_csv(str(path), 26.2)
-        per_resample = analysis.monte_carlo_peak_bytes(trace, 1)
-        assert per_resample == analysis.MC_LIVE_ROW_ARRAYS * 8 * 52   # window points
-        most = recipes.MEMORY_BUDGET // per_resample
+        block = analysis.MC_BLOCK
+        # one block's row arrays, over the 52 window points, and 8 bytes per
+        # resample for the kept taus
+        block_bytes = analysis.MC_LIVE_ROW_ARRAYS * 8 * block * 52
+        for resamples in (2, block, block + 1, 10**6):
+            assert analysis.monte_carlo_peak_bytes(trace, resamples) == \
+                analysis.MC_LIVE_ROW_ARRAYS * 8 * min(resamples, block) * 52 + 8 * resamples
+        most = (recipes.MEMORY_BUDGET - block_bytes) // 8
+        assert most > 10**8
         assert analysis.monte_carlo_peak_bytes(trace, most) <= recipes.MEMORY_BUDGET
+        assert analysis.monte_carlo_peak_bytes(trace, most + 1) > recipes.MEMORY_BUDGET
         out = tmp_path / "fit.json"
         for resamples in (most + 1, 10**12):
             assert cli.main(["fit", str(path), "--resamples", str(resamples),
