@@ -80,17 +80,16 @@ class RiseTimeFit:
     bound_saturated: bool = False
 
 
-def optical_depth_trace(trace: TransmissionTrace,
-                        window: tuple[float, float] = FIT_WINDOW) -> OpticalDepthTrace:
+def optical_depth_trace(trace: TransmissionTrace) -> OpticalDepthTrace:
     """Pointwise sigma(t) = ln(I_input/I_output) with Poisson-style propagation.
 
     Defined only where both intensities are positive; a non-positive output
-    anywhere inside the analysis window is a degenerate trace.
+    anywhere inside the fit window FIT_WINDOW is a degenerate trace.
     """
     t = np.asarray(trace.t_points, dtype=float)
     i_in = np.asarray(trace.intensity_input, dtype=float)
     i_out = np.asarray(trace.intensity_output, dtype=float)
-    in_window = (t >= window[0]) & (t <= window[1])
+    in_window = (t >= FIT_WINDOW[0]) & (t <= FIT_WINDOW[1])
     bad = (i_out <= 0) | (i_in <= 0)
     if np.any(bad & in_window):
         raise DegenerateTraceError("non-positive intensity inside the fit window")
@@ -150,7 +149,7 @@ def _solve_sym3(a, b):
     return np.divide(num, det, out=np.zeros_like(num), where=solvable)
 
 
-def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
+def _lm_batch(t, y, w, p0, lo, hi, t0):
     """Projected Levenberg-Marquardt over a batch of traces.
 
     t: (T,);  y, w: (B, T);  p0, lo, hi: (B, 3) for (s_ss, s_init, tau).
@@ -205,7 +204,7 @@ def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
     # contiguous (rows, T) block; the working set only shrinks, so the
     # first rows of one buffer hold every iteration's
     jac_buf = np.empty((3, rows.size, len(t)))
-    for it in range(max_iter):
+    for it in range(MAX_ITERATIONS):
         if rows.size == 0:
             break
         # d r/d tau is stored without its per-row factor
@@ -276,7 +275,7 @@ def _lm_batch(t, y, w, p0, lo, hi, max_iter=MAX_ITERATIONS, t0=FIT_WINDOW[0]):
     # rows still iterating ran every iteration
     p[rows] = p_a
     cost[rows] = cost_a
-    iterations[rows] = max_iter
+    iterations[rows] = MAX_ITERATIONS
     return p, cost, iterations, converged
 
 
@@ -459,13 +458,12 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     return float(np.std(taus[:kept], ddof=1))
 
 
-def monte_carlo_peak_bytes(trace: OpticalDepthTrace, resamples: int,
-                           window: tuple[float, float] = FIT_WINDOW) -> int:
-    """Estimated peak memory of monte_carlo_uncertainty on this trace,
-    from the resample count and the number of window points alone: one
-    block's row arrays and the kept taus, 8 bytes per resample."""
+def monte_carlo_peak_bytes(trace: OpticalDepthTrace, resamples: int) -> int:
+    """Estimated peak memory of monte_carlo_uncertainty on this trace in
+    FIT_WINDOW, from the resample count and the number of window points
+    alone: one block's row arrays and the kept taus, 8 bytes per resample."""
     t = np.asarray(trace.t_points, dtype=float)
-    points = int(np.count_nonzero((t >= window[0]) & (t <= window[1])))
+    points = int(np.count_nonzero((t >= FIT_WINDOW[0]) & (t <= FIT_WINDOW[1])))
     return MC_LIVE_ROW_ARRAYS * 8 * min(resamples, MC_BLOCK) * points + 8 * resamples
 
 

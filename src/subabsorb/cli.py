@@ -8,9 +8,10 @@
 Exit codes: 0 success, 2 fit failure, 3 config error, 4 model error (a
 drive above the perturbative budget, an infeasible packing density, a
 coupling spectrum that is not positive or a value outside the model's
-domain, such as a fit window that mixes zero and positive uncertainties).
-A sweep that fails still writes its completed rows and a sweep_meta.json
-with complete=false and the error.
+domain, such as a fit window that mixes zero and positive uncertainties),
+5 output error (an output file that cannot be written).  A sweep that
+fails still writes its completed rows and a sweep_meta.json with
+complete=false and the error, where the run directory still takes them.
 The SUBABSORB_OUT environment variable overrides the default output
 directory (an explicit --out still wins).
 """
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_FIT = 2
 EXIT_CONFIG = 3
 EXIT_MODEL = 4
+EXIT_OUTPUT = 5
 
 
 def _build_parser():
@@ -176,6 +178,9 @@ def main(argv=None) -> int:
     except recipes.MODEL_ERRORS as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

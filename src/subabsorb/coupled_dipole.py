@@ -1,26 +1,27 @@
 """Collective solver: single-excitation amplitudes of a driven disordered
 ensemble with photon-exchange couplings and density-dependent dephasing.
 
-The amplitude vector obeys  dc/dt = -H c + b  with b_j = -i*Omega_j,
-H_jj = 1/2 (single-atom amplitude decay, Gamma_a units) and off-diagonals
-H_jk = i*S*F_jk where F_jk is the pairwise exchange coupling and
-S = 1/(1 + (gamma_DD/Gamma_a)^2) suppresses the couplings, never the
-diagonal decay.  F_jk as used here is purely imaginary, so H is real
-symmetric; the closed-form step response is
+The amplitude vector obeys  dc/dt = -H c + b  with b_j = -i*Omega_j.
+build_coupling_matrix assembles the undephased H0: H0_jj = 1/2 (single-atom
+amplitude decay, Gamma_a units) and H0_jk = i*F_jk, F_jk the pairwise
+exchange coupling, purely imaginary here, so H0 is real symmetric.
+Dephasing scales the couplings, never the diagonal decay, by
+S = 1/(1 + (gamma_DD/Gamma_a)^2): H(S) = I/2 + S*(H0 - I/2), whose
+closed-form step response is
 
     c(t) = (I - exp(-H t)) H^{-1} b.
 
 The readout P(t), its steady state and sum |c_j|^2 are quadratic forms
 u^T f(H) u + v^T f(H) v of the drive vectors u = cos(kz), v = sin(kz),
 with f(lambda) = (1 - e^{-lambda t})/lambda, its square, or 1/lambda.
-Block Lanczos on H0 = H(gamma_DD = 0), started from the block [u, v],
-gives the Gauss rule for these forms: its nodes are Ritz values and its
-weights come from the first rows of the Ritz vectors, and m block steps
-integrate every polynomial of degree up to 2m-1 exactly (Golub & Welsch
-1969; Golub & Meurant, Matrices, Moments and Quadrature, 2010).  Writing
-H(S) = I/2 + S*(H0 - I/2), every H(S) has the same Krylov space and the
-rule at S is the rule at S = 1 with its nodes mapped by
-lambda -> 1/2 + S*(lambda - 1/2), so one Lanczos run per realization
+Block Lanczos on H0, started from the block [u, v], gives the Gauss rule
+for these forms: its nodes are Ritz values and its weights come from the
+first rows of the Ritz vectors, and m block steps integrate every
+polynomial of degree up to 2m-1 exactly (Golub & Welsch 1969; Golub &
+Meurant, Matrices, Moments and Quadrature, 2010).  Every H(S) has the same
+Krylov space, and the rule at S is the rule of H0 with its nodes mapped by
+lambda -> 1/2 + S*(lambda - 1/2).  That map, in spectral_trace, is the one
+place where dephasing enters the model, so one Lanczos run per realization
 serves every gamma_DD (see RealizationSpectrum).
 
 Every H(S) with S < 1 is positive by structure: H0 = Gamma/2 is half the
@@ -218,13 +219,13 @@ def suppression_factor(gamma_dd: float) -> float:
     return 1.0 / (1.0 + gamma_dd**2)
 
 
-def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.0,
+def build_coupling_matrix(realization: EnsembleRealization,
                           mode: str = "vectorial") -> np.ndarray:
-    """Assemble H: diagonal 1/2, off-diagonals i*S(gamma_DD)*F_jk.
+    """Assemble H0: diagonal 1/2, off-diagonals i*F_jk.
 
-    F is purely imaginary, so H is returned as a real float64 matrix, filled
-    with i*F from the real kernel _exchange.  The suppression
-    applies to the exchange only; the diagonal decay is single-atom physics.
+    F is purely imaginary, so H0 is returned as a real float64 matrix, filled
+    with i*F from the real kernel _exchange.  Dephasing enters only in
+    spectral_trace, which maps the nodes of H0's Gauss rule to each S.
 
     Pairs are evaluated from the separation components dx, dy, dz, never as
     (..., 3) rows: first the triangles of all diagonal blocks of
@@ -235,74 +236,31 @@ def build_coupling_matrix(realization: EnsembleRealization, gamma_dd: float = 0.
     """
     x, y, z = realization.positions.T.copy()
     n = len(x)
-    scale = suppression_factor(gamma_dd)
     # zeros although every entry is written: with np.empty the peak RSS of
     # N=1500 sweeps was one N*N matrix higher in 8 of 19 benchmark runs
     h = np.zeros((n, n))
-
-    def fill(dx, dy, dz):
-        f = _exchange(dx, dy, dz, mode=mode)
-        f *= scale
-        return f
-
     starts = range(0, n, ASSEMBLY_BLOCK)
     # the triangles of all diagonal blocks, in one call
     j, k = np.concatenate([np.add(np.triu_indices(min(ASSEMBLY_BLOCK, n - i0), 1), i0)
                            for i0 in starts], axis=1)
-    h[j, k] = h[k, j] = fill(x[j] - x[k], y[j] - y[k], z[j] - z[k])
+    h[j, k] = h[k, j] = _exchange(x[j] - x[k], y[j] - y[k], z[j] - z[k], mode)
     for i0 in starts:
         i1 = min(i0 + ASSEMBLY_BLOCK, n)
-        block = fill(np.subtract.outer(x[i0:i1], x[i1:]),
-                     np.subtract.outer(y[i0:i1], y[i1:]),
-                     np.subtract.outer(z[i0:i1], z[i1:]))
+        block = _exchange(np.subtract.outer(x[i0:i1], x[i1:]),
+                          np.subtract.outer(y[i0:i1], y[i1:]),
+                          np.subtract.outer(z[i0:i1], z[i1:]), mode)
         h[i0:i1, i1:] = block
         h[i1:, i0:i1] = block.T
     np.fill_diagonal(h, 0.5)
     return h
 
 
-def drive_vector(positions, amplitude: float) -> np.ndarray:
-    """Plane-wave drive along z: Omega_j = Omega_0 exp(i k z_j)."""
-    return amplitude * np.exp(1j * K_A * np.asarray(positions)[:, 2])
-
-
-def rk4_amplitudes(h: np.ndarray, omega_vec: np.ndarray, t_points: np.ndarray,
-                   substeps: int = 40) -> AmplitudeState:
-    """Direct fixed-step RK4 integration of dc/dt = -H c - i Omega_vec.
-
-    Reference integrator that the closed form is checked against.
-    """
-    t_points = np.asarray(t_points, dtype=float)
-    b = -1j * np.asarray(omega_vec)
-    n = len(b)
-    out = np.zeros((len(t_points), n), dtype=complex)
-    c = np.zeros(n, dtype=complex)
-    if t_points[0] != 0.0:
-        raise DomainError("t_points must start at 0 (ground-state initial condition)")
-
-    def f(c):
-        return -(h @ c) + b
-
-    for i in range(1, len(t_points)):
-        span = t_points[i] - t_points[i - 1]
-        m = max(1, substeps)
-        dt = span / m
-        for _ in range(m):
-            k1 = f(c)
-            k2 = f(c + 0.5 * dt * k1)
-            k3 = f(c + 0.5 * dt * k2)
-            k4 = f(c + dt * k3)
-            c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = c
-    return AmplitudeState(t_points=t_points, amplitudes=out)
-
-
 def evolve_closed_form(h, omega_vec, t_points) -> AmplitudeState:
     """Step-drive solution c(t) = (I - exp(-H t)) H^{-1} (-i Omega_vec).
 
     H must be real symmetric with a positive spectrum; one eigendecomposition
-    serves all output times.  This amplitude-level reference is what the
-    spectral readout and rk4_amplitudes are checked against.
+    serves all output times.  The spectral readout is checked against it,
+    and it against a direct RK4 integration (tests/reference.py).
     """
     h = np.asarray(h)
     t_points = np.asarray(t_points, dtype=float)
@@ -379,11 +337,11 @@ class RealizationSpectrum:
         return self.gram_margin is not None and not suppression < 1.0 - self.gram_margin
 
 
-def _readout(lam: np.ndarray, w: np.ndarray, t_points: np.ndarray):
-    """sum_j w_j phi_j(t), sum_j w_j phi_j(t)^2 and sum_j w_j/lambda_j for
-    phi_j(t) = (1 - e^{-lambda_j t})/lambda_j, in units of the drive."""
+def _readout(lam: np.ndarray, w: np.ndarray):
+    """sum_j w_j phi_j(t), sum_j w_j phi_j(t)^2 and sum_j w_j/lambda_j on
+    T_POINTS for phi_j(t) = (1 - e^{-lambda_j t})/lambda_j, in drive units."""
     # expm1 keeps small-lambda (deeply subradiant) modes accurate
-    phi = -np.expm1(-np.outer(t_points, lam)) / lam[None, :]
+    phi = -np.expm1(-np.outer(T_POINTS, lam)) / lam[None, :]
     return phi @ w, (phi * phi) @ w, np.sum(w / lam)
 
 
@@ -449,7 +407,7 @@ def _gauss_rule(h0: np.ndarray, drive: np.ndarray):
             weights = np.sum((r0.T @ vecs[:len(r0)]) ** 2, axis=0)
             if exact:
                 return nodes, weights
-            readout = _readout(nodes, weights, T_POINTS)
+            readout = _readout(nodes, weights)
             if previous is not None and all(
                     np.max(np.abs(x - y)) <= LANCZOS_TOL * np.max(np.abs(x))
                     for x, y in zip(readout, previous)):
@@ -529,14 +487,14 @@ def realization_spectrum(config: EnsembleConfig, seed: int, mode: str = "vectori
     that needs it (run_realization).  The default certifies.
     """
     realization = sample_positions(config, seed)
-    h0 = build_coupling_matrix(realization, gamma_dd=0.0, mode=mode)
+    h0 = build_coupling_matrix(realization, mode)
     margin = _gram_margin(realization)
     return _spectrum(realization, h0, margin if suppression < 1.0 - margin else None)
 
 
-def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude: float,
-                   t_points: np.ndarray) -> DipoleTrace:
-    """P(t) at one suppression S from the shared Gauss rule, in O(T*m).
+def spectral_trace(spectrum: RealizationSpectrum, suppression: float,
+                   amplitude: float) -> DipoleTrace:
+    """P(t) on T_POINTS at one suppression S from the shared Gauss rule, in O(T*m).
 
     With phi_j(t) = (1 - e^{-lambda_j t})/lambda_j and
     lambda = 1/2 + S*(lambda0 - 1/2):
@@ -564,7 +522,7 @@ def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude:
     if not lowest > 0:
         raise DomainError(f"coupling spectrum is not positive: lambda_min = {lowest:.3g}")
     amp = abs(amplitude)
-    p, c2, inverse = _readout(lam, spectrum.weights, t_points)
+    p, c2, inverse = _readout(lam, spectrum.weights)
     peak = float(np.max(amp**2 * c2))
     if peak > NORM_BUDGET:
         raise PerturbativeBoundError(
@@ -573,7 +531,7 @@ def spectral_trace(spectrum: RealizationSpectrum, suppression: float, amplitude:
     steady = float(amp * abs(inverse))
     if steady < 1e-15 * spectrum.realization.atom_count * amp:
         raise DomainError("steady-state dipole too small to normalize against")
-    return DipoleTrace(t_points=t_points, p_normalized=raw / steady,
+    return DipoleTrace(t_points=T_POINTS, p_normalized=raw / steady,
                        steady_state_raw=steady)
 
 
@@ -600,10 +558,10 @@ def run_realization(config: EnsembleConfig, seed: int,
     if spectrum is None:
         spectrum = realization_spectrum(config, seed, mode=mode, suppression=suppression)
     elif spectrum.uncertified_at(suppression):
-        h0 = build_coupling_matrix(spectrum.realization, gamma_dd=0.0, mode=mode)
+        h0 = build_coupling_matrix(spectrum.realization, mode)
         spectrum = replace(spectrum, lambda0_min=_positivity(h0), gram_margin=None)
     spectra[key] = spectrum
-    trace = spectral_trace(spectrum, suppression, pulse.amplitude, T_POINTS)
+    trace = spectral_trace(spectrum, suppression, pulse.amplitude)
     return trace, spectrum.realization
 
 

@@ -47,14 +47,6 @@ class FieldGrid:
     rho01: np.ndarray
     sigma_ss: float
 
-    def validate(self, tol: float = 1e-9):
-        trace = self.rho00 + self.rho11
-        if np.max(np.abs(trace - 1.0)) > tol:
-            raise AssertionError("two-level trace violated")
-        excess = np.abs(self.rho01) ** 2 - self.rho00 * self.rho11
-        if np.max(excess) > tol:
-            raise AssertionError("coherence exceeds pure-state bound")
-
 
 @dataclass(frozen=True)
 class TransmissionTrace:
@@ -69,22 +61,6 @@ class TransmissionTrace:
     intensity_output: np.ndarray
     u_input: np.ndarray | None = None
     u_output: np.ndarray | None = None
-
-
-def analytic_weak_field(t, z_over_length, sigma_ss: float, detuning: float = 0.0,
-                        omega_in: float = 1.0):
-    """Closed-form weak-field step response Omega(z,t').
-
-    Omega(z,t') = Omega(0,t') * exp(-(alpha z/2)(1 - exp(-t'/2))) with
-    alpha*L = sigma_ss.  Stated on resonance only; exact to first order in
-    sigma_ss (the coherence is assumed to track the local instantaneous
-    field, which neglects pulse reshaping at higher optical depth).
-    """
-    if detuning != 0.0:
-        raise DomainError("the closed form is stated on resonance only")
-    t = np.asarray(t, dtype=float)
-    exponent = -(sigma_ss * z_over_length / 2.0) * (1.0 - np.exp(-t / 2.0))
-    return omega_in * np.exp(exponent)
 
 
 class _StateViews(NamedTuple):

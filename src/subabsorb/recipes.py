@@ -60,11 +60,12 @@ MB_SAMPLE_BYTES = 48
 #: fixed 15 KB of views and small arrays
 MB_STEP_BYTES = 64
 
-#: failures that end a sweep early; the completed rows are still written
+#: failures that end a sweep early (OSError: an output that cannot be
+#: written); the completed rows are still written
 FIT_ERRORS = (analysis.FitError, analysis.DegenerateTraceError)
 MODEL_ERRORS = (coupled_dipole.PerturbativeBoundError,
                 coupled_dipole.DensityTooHighError, DomainError)
-SWEEP_ERRORS = FIT_ERRORS + MODEL_ERRORS
+SWEEP_ERRORS = FIT_ERRORS + MODEL_ERRORS + (OSError,)
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,7 @@ def _blas_build() -> str:
     """Name and version of the BLAS numpy was built against, or "unknown"."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):           # older numpy has no dict mode
+    except KeyError:
         return "unknown"
     return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
@@ -429,11 +430,12 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
 
     The model's row generator (_mb_rows or _cd_rows) runs the points one
     after another and writes each point's traces before yielding its row,
-    so a rerun with the same seeds is byte-identical.  A fit or model
-    failure (SWEEP_ERRORS) ends the sweep: sweep.csv holds the rows
+    so a rerun with the same seeds is byte-identical.  A fit, model or
+    write failure (SWEEP_ERRORS) ends the sweep: sweep.csv holds the rows
     completed before it, and sweep_meta.json is marked incomplete with an
     ``error`` record.  Fit failures are then re-raised as FitError, the
-    others as their own type.
+    others as their own type.  When sweep.csv or sweep_meta.json cannot be
+    written either, that OSError is raised instead.
     """
     base_seed = recipe.ensemble.rng_seed if seed is None else int(seed)
     n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)

@@ -292,7 +292,7 @@ class TestSynthesizeCounts:
         truth = make_trace(t, exponential_truth(t, 0.1))
         noisy = synthesize_counts(truth, cycles=100_000, photons_per_pulse=30,
                                   seed=3, bin_width=bin_width)
-        rec = optical_depth_trace(noisy, window=(0.0, 8.0))
+        rec = optical_depth_trace(noisy)
         n_bins = len(noisy.t_points)
         lam_in = 100_000 * 30.0 / n_bins
         sig_c = np.interp(noisy.t_points, t, truth.sigma)

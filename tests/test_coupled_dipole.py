@@ -13,11 +13,13 @@ from subabsorb.coupled_dipole import (GRAM_ROUNDING, SAMPLE_BLOCK, DensityTooHig
                                       EnsembleRealization, PerturbativeBoundError,
                                       T_POINTS, _exchange, _gram_margin, _readout,
                                       _spectrum, build_coupling_matrix,
-                                      dipole_trace, drive_vector, evolve_closed_form,
-                                      realization_spectrum, rk4_amplitudes, run_ensemble,
+                                      dipole_trace, evolve_closed_form,
+                                      realization_spectrum, run_ensemble,
                                       run_realization, sample_positions, spectral_trace,
                                       suppression_factor)
 from subabsorb.recipes import BETA_SET
+
+from reference import drive_vector, pad_systems, rk4_amplitudes
 
 STEP = PulseShape(kind="step")
 
@@ -56,6 +58,14 @@ def textbook_coupling_f(r_vec, mode="vectorial"):
     cos2 = np.ones_like(r) if mode == "scalar" else (r_vec[..., 0] / r) ** 2
     near = (np.cos(kr) / kr**2 - np.sin(kr) / kr**3) * (1.0 - 3.0 * cos2)
     return -0.75j * (np.sin(kr) * (1.0 - cos2) / kr + near)
+
+
+def dephased(h0, suppression):
+    """H(S) = I/2 + S (H0 - I/2) as an assembly would write it: every coupling
+    scaled by S, the diagonal decay left at 1/2."""
+    h = suppression * h0
+    np.fill_diagonal(h, 0.5)
+    return h
 
 
 def exchange(r_vec, mode="vectorial"):
@@ -241,11 +251,9 @@ class TestCouplingMatrix:
     def test_two_atom_hand_built(self):
         cfg = EnsembleConfig(atom_count=2, box=(5.0, 5.0, 5.0))
         r = sample_positions(cfg, seed=5)
-        gamma_dd = 0.7
-        built = build_coupling_matrix(r, gamma_dd=gamma_dd)
+        built = build_coupling_matrix(r)
         f01 = textbook_coupling_f(r.positions[0] - r.positions[1])
-        s = 1.0 / (1.0 + gamma_dd**2)
-        expected = np.array([[0.5, 1j * s * f01], [1j * s * f01, 0.5]])
+        expected = np.array([[0.5, 1j * f01], [1j * f01, 0.5]])
         np.testing.assert_allclose(built, expected, rtol=1e-14)
 
     def test_complex_symmetric_with_decay_diagonal(self):
@@ -257,13 +265,18 @@ class TestCouplingMatrix:
         assert np.all(np.isfinite(h))
 
     def test_suppression_halves_at_gamma(self):
+        # gamma_DD = Gamma_a halves the couplings: the spectral read at that S
+        # is the closed form of H0 with its couplings halved, its diagonal kept
+        assert suppression_factor(1.0) == 0.5
         cfg = EnsembleConfig(atom_count=10, box=(4.0, 4.0, 4.0))
-        r = sample_positions(cfg, seed=2)
-        h0 = build_coupling_matrix(r, gamma_dd=0.0)
-        h1 = build_coupling_matrix(r, gamma_dd=1.0)
-        off = ~np.eye(10, dtype=bool)
-        np.testing.assert_allclose(h1[off], 0.5 * h0[off], rtol=1e-14)
-        np.testing.assert_allclose(np.diag(h1), np.diag(h0), rtol=0)
+        spectrum = realization_spectrum(cfg, 2)
+        trace = spectral_trace(spectrum, suppression_factor(1.0), 1e-3)
+        r = spectrum.realization
+        h = dephased(build_coupling_matrix(r), 0.5)
+        omega = drive_vector(r.positions, 1e-3)
+        ref = dipole_trace(evolve_closed_form(h, omega, T_POINTS), r, h, omega)
+        np.testing.assert_allclose(trace.p_normalized, ref.p_normalized, rtol=0, atol=1e-13)
+        assert trace.steady_state_raw == pytest.approx(ref.steady_state_raw, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 64, 65, 200])
     @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
@@ -275,23 +288,21 @@ class TestCouplingMatrix:
         pos = r.positions
         iu = np.triu_indices(n, 1)
         d = pos[iu[0]] - pos[iu[1]]
-        for gamma_dd in (0.0, 0.7):
-            built = build_coupling_matrix(r, gamma_dd=gamma_dd, mode=mode)
-            assert built.dtype == np.float64
-            for i_f in (exchange(d, mode=mode), (1j * textbook_coupling_f(d, mode=mode)).real):
-                expected = np.zeros((n, n))
-                vals = suppression_factor(gamma_dd) * i_f
-                expected[iu] = vals
-                expected[(iu[1], iu[0])] = vals
-                np.fill_diagonal(expected, 0.5)
-                np.testing.assert_array_equal(built, expected)
+        built = build_coupling_matrix(r, mode=mode)
+        assert built.dtype == np.float64
+        for i_f in (exchange(d, mode=mode), (1j * textbook_coupling_f(d, mode=mode)).real):
+            expected = np.zeros((n, n))
+            expected[iu] = i_f
+            expected[(iu[1], iu[0])] = i_f
+            np.fill_diagonal(expected, 0.5)
+            np.testing.assert_array_equal(built, expected)
 
     def test_large_dephasing_decouples(self):
+        # S = 1/(1 + 10^12): every atom rises alone, as 1 - e^{-t/2}
         cfg = EnsembleConfig(atom_count=5, box=(3.0, 3.0, 3.0))
-        r = sample_positions(cfg, seed=2)
-        h = build_coupling_matrix(r, gamma_dd=1e6)
-        off = ~np.eye(5, dtype=bool)
-        assert np.max(np.abs(h[off])) < 1e-10
+        trace = spectral_trace(realization_spectrum(cfg, 2), suppression_factor(1e6), 1e-3)
+        np.testing.assert_allclose(trace.p_normalized, 1.0 - np.exp(-T_POINTS / 2.0),
+                                   rtol=0, atol=1e-10)
 
     def test_suppression_monotone(self):
         vals = [suppression_factor(g) for g in [0.0, 0.5, 1.0, 3.0, 10.0]]
@@ -322,9 +333,27 @@ class TestEvolution:
         omega = drive_vector(r.positions, 1e-3)
         t = np.linspace(0, 8, 41)
         cf = evolve_closed_form(h, omega, t)
-        rk = rk4_amplitudes(h, omega, t, substeps=100)
+        rk = rk4_amplitudes(h[None], omega[None], t, substeps=100)[0]
         scale = np.max(np.abs(cf.amplitudes))
-        assert np.max(np.abs(cf.amplitudes - rk.amplitudes)) / scale < 1e-6
+        assert np.max(np.abs(cf.amplitudes - rk)) / scale < 1e-6
+
+    def test_padded_batch_steps_each_system_as_alone(self):
+        # systems of 3, 7 and 12 atoms in one padded batch: the padding stays
+        # exactly 0, and each system's amplitudes are those of a batch of one
+        # up to the summation order of the stacked matmul
+        t = np.linspace(0, 8, 9)
+        hs, omegas = [], []
+        for n, seed in ((3, 1), (7, 2), (12, 3)):
+            r = sample_positions(EnsembleConfig(atom_count=n, box=(3.0, 3.0, 3.0)), seed)
+            hs.append(build_coupling_matrix(r))
+            omegas.append(drive_vector(r.positions, 1e-3))
+        batch = rk4_amplitudes(*pad_systems(hs, omegas), t, substeps=20)
+        for h, omega, got in zip(hs, omegas, batch):
+            n = len(omega)
+            assert np.all(got[:, n:] == 0)
+            alone = rk4_amplitudes(h[None], omega[None], t, substeps=20)[0]
+            np.testing.assert_allclose(got[:, :n], alone, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(alone)))
 
     def test_linearity_in_drive(self):
         cfg = EnsembleConfig(atom_count=12, box=(4.0, 4.0, 4.0))
@@ -441,7 +470,8 @@ class TestSharedSpectrum:
     @staticmethod
     def amplitude_path(cfg, seed, pulse=STEP):
         r = sample_positions(cfg, seed)
-        h = build_coupling_matrix(r, gamma_dd=cfg.gamma_dd(AtomicSpecies()))
+        suppression = suppression_factor(cfg.gamma_dd(AtomicSpecies()))
+        h = dephased(build_coupling_matrix(r), suppression)
         omega = drive_vector(r.positions, pulse.amplitude)
         state = evolve_closed_form(h, omega, np.linspace(0.0, 8.0, 161))
         return dipole_trace(state, r, h, omega)
@@ -481,7 +511,7 @@ class TestSharedSpectrum:
         # an uncertified H0 whose exact smallest eigenvalue is below zero
         shifted = replace(spectrum, lambda0_min=-1e-3)
         with pytest.raises(DomainError, match="not positive"):
-            spectral_trace(shifted, 1.0, 1e-3, np.linspace(0.0, 8.0, 161))
+            spectral_trace(shifted, 1.0, 1e-3)
 
 
 def reference_p_of_t(positions, suppression, t_points, mode):
@@ -521,14 +551,13 @@ class TestSpectralOracle:
     @pytest.mark.parametrize("suppression", [1.0, 0.3, 1e-3])
     def test_matches_reference_small_n(self, mode, suppression):
         rng = np.random.default_rng(31)
-        t = np.linspace(0.0, 8.0, 161)
         for seed in range(6):
             n = int(rng.integers(2, 21))
             side = float(rng.uniform(0.8, 3.0))
             cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
             spectrum = realization_spectrum(cfg, seed, mode=mode)
-            trace = spectral_trace(spectrum, suppression, 1e-3, t)
-            ref = reference_p_of_t(spectrum.realization.positions, suppression, t, mode)
+            trace = spectral_trace(spectrum, suppression, 1e-3)
+            ref = reference_p_of_t(spectrum.realization.positions, suppression, T_POINTS, mode)
             np.testing.assert_allclose(trace.p_normalized, ref, rtol=0, atol=1e-9)
             if suppression == 1.0:
                 solo, _ = run_realization(cfg, seed, pulse=STEP, mode=mode)
@@ -546,11 +575,11 @@ def eigh_reference(spectrum, mode):
 
 def assert_same_readout(spectrum, reference, suppression, rtol):
     """P(t), the steady state and the peak sum |c|^2 agree to rtol."""
-    a = spectral_trace(spectrum, suppression, 1e-3, T_POINTS)
-    b = spectral_trace(reference, suppression, 1e-3, T_POINTS)
+    a = spectral_trace(spectrum, suppression, 1e-3)
+    b = spectral_trace(reference, suppression, 1e-3)
     np.testing.assert_allclose(a.p_normalized, b.p_normalized, rtol=rtol, atol=0)
     assert a.steady_state_raw == pytest.approx(b.steady_state_raw, rel=rtol, abs=0)
-    peaks = [np.max(_readout(0.5 + suppression * (s.lambda0 - 0.5), s.weights, T_POINTS)[1])
+    peaks = [np.max(_readout(0.5 + suppression * (s.lambda0 - 0.5), s.weights)[1])
              for s in (spectrum, reference)]
     assert peaks[0] == pytest.approx(peaks[1], rel=rtol, abs=0)
 
@@ -633,13 +662,13 @@ class TestLanczosReadout:
         assert spectrum.lambda0_min == pytest.approx(np.linalg.eigvalsh(h0)[0], abs=1e-12)
         assert spectrum.lambda0_min == pytest.approx(lam_neg, abs=1e-12)
         with pytest.raises(DomainError, match="not positive"):
-            spectral_trace(spectrum, 1.0, 1e-3, T_POINTS)
+            spectral_trace(spectrum, 1.0, 1e-3)
         # lambda(S) = 1/2 + S (lam_neg - 1/2) changes sign at S* = 1/(1 - 2 lam_neg)
         s_star = 1.0 / (1.0 - 2.0 * lam_neg)
         with pytest.raises(DomainError, match="not positive"):
-            spectral_trace(spectrum, s_star * (1.0 + 1e-6), 1e-3, T_POINTS)
+            spectral_trace(spectrum, s_star * (1.0 + 1e-6), 1e-3)
         for suppression in (s_star * (1.0 - 1e-6), 0.5, 1e-3):
-            trace = spectral_trace(spectrum, suppression, 1e-3, T_POINTS)
+            trace = spectral_trace(spectrum, suppression, 1e-3)
             assert np.all(np.isfinite(trace.p_normalized))
 
     def test_sampled_geometries_are_certified(self):
@@ -727,9 +756,9 @@ class TestLazyCertificate:
         assert np.array_equal(spectrum.lambda0, certified.lambda0)
         assert np.array_equal(spectrum.weights, certified.weights)
         with pytest.raises(ValueError, match="certificate"):
-            spectral_trace(spectrum, 1.0, 1e-3, T_POINTS)
-        a = spectral_trace(spectrum, 0.5, 1e-3, T_POINTS)
-        b = spectral_trace(certified, 0.5, 1e-3, T_POINTS)
+            spectral_trace(spectrum, 1.0, 1e-3)
+        a = spectral_trace(spectrum, 0.5, 1e-3)
+        b = spectral_trace(certified, 0.5, 1e-3)
         assert np.array_equal(a.p_normalized, b.p_normalized)
 
     def test_undephased_read_after_a_dephased_one_certifies_once(self, monkeypatch):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -604,6 +605,50 @@ class TestCli:
         assert str(tmp_path / blocker) in err
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
         assert (tmp_path / blocker).read_text() == "kept\n"
+
+    def test_unwritable_point_output_exit_code_keeps_completed_rows(self, tmp_path, capsys):
+        # a directory where the second point's trace goes: the first point's
+        # row and trace are kept, and the sweep record says what failed
+        run_dir = tmp_path / "runs" / "fig10_detuning"
+        (run_dir / "point_01_trace.csv").mkdir(parents=True)
+        assert cli.main(["run", "fig10_detuning", "--out", str(tmp_path / "runs")]) == \
+            cli.EXIT_OUTPUT
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert "point_01_trace.csv" in err
+        rows = (run_dir / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,")
+        assert (run_dir / "point_00_trace.csv").is_file()
+        assert not (run_dir / "point_02_trace.csv").exists()
+        meta = json.loads((run_dir / "sweep_meta.json").read_text())
+        assert meta["complete"] is False
+        assert meta["error"]["type"] == "IsADirectoryError"
+
+    def test_unwritable_fit_record_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the disk fills while the record is written
+        def full_disk(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        write_rise_csv(tmp_path / "trace.csv", 0.005)
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", str(tmp_path / "trace.csv"), "--resamples", "20",
+                         "--out", str(out)]) == cli.EXIT_OUTPUT
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert "No space left on device" in err
+        assert not out.exists()
+
+    def test_documented_example_config_runs(self, tmp_path):
+        example = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                               "example_sweep.json")
+        assert cli.main(["run", example, "--realizations", "2",
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        rows = (tmp_path / "dense_cubes" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 5
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [30.0, 20.0, 14.0, 10.0]
 
     def test_fit_out_in_missing_directory_fails_first(self, tmp_path, monkeypatch):
         def no_fit(*args, **kwargs):
