@@ -7,12 +7,14 @@ The fit model over the window [tau_a, 8 tau_a] is
 
 with s_init and s_ss box-constrained to +-5% of their estimates (the
 initial and steady-state optical depths are only known to that level) and
-tau bounded to [tau_a/10, 20 tau_a].  The optimizer is a damped
-least-squares (Levenberg-Marquardt) iteration started at tau = 2 tau_a,
-implemented batched.  Every fit goes through one core, which derives the
-estimates, boxes and start of each row: fit_rise_times fits a stack of
-traces (a sweep point's realizations) in one pass, and the thousands of
-Monte-Carlo refits run through it in blocks of MC_BLOCK rows.
+tau bounded to [tau_a/10, 20 tau_a].  The model is linear in s_ss and
+s_init, so the fit runs in tau alone (variable projection): at each trial
+tau the two levels are the exact weighted least-squares solution in their
+boxes, and safeguarded Newton steps on that reduced cost move tau from its
+start at 2 tau_a, batched over rows.  Every fit goes through one core,
+which derives the estimates, boxes and start of each row: fit_rise_times
+fits a stack of traces (a sweep point's realizations) in one pass, and the
+thousands of Monte-Carlo refits run through it in blocks of MC_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ TAIL_FRACTION = 0.125            # trailing part of the window used for the
                                  # steady-state estimate
 MAX_FAILURE_FRACTION = 0.01      # Monte-Carlo refits allowed to fail
 #: (block rows, window points) float64 arrays alive at once at the peak of a
-#: block of Monte-Carlo refits: the perturbed rows, the fit's residual,
-#: exponential, trial and Jacobian rows, and the copies made when converged
-#: rows are dropped.  tracemalloc measures 11.6 to 12.9 for blocks of
-#: MC_BLOCK rows (45 and 92 window points, 10^4 and 4 x 10^4 resamples)
-MC_LIVE_ROW_ARRAYS = 13
+#: block of Monte-Carlo refits: the perturbed rows, their y w^2, the
+#: exponential and its two products, the copy made when converged rows are
+#: dropped and the residual of the rows that leave.  tracemalloc measures 6.7
+#: to 7.4 for blocks of MC_BLOCK rows (91 and 45 window points, 10^4 and
+#: 4 x 10^4 resamples)
+MC_LIVE_ROW_ARRAYS = 8
 #: Monte-Carlo resamples drawn and refitted together.  Every block pays for
 #: its own slowest rows, so a smaller block runs slower; a larger one holds
 #: more memory
@@ -120,162 +123,129 @@ def trace_from_dipole(dipole, sigma_ss: float) -> OpticalDepthTrace:
 
 
 # ----------------------------------------------------------------------
-# batched damped least squares
+# batched fit in tau, the endpoint levels solved exactly at each tau
 
-#: a stack of symmetric 3x3 matrices is held entry-major, as the rows
-#: (a00, a11, a22, a01, a12, a02) of a (6, B) array; _SYM_FULL unpacks the
-#: entries row-major
-_SYM_I = np.array([0, 1, 2, 0, 1, 0])
-_SYM_J = np.array([0, 1, 2, 1, 2, 2])
-_SYM_FULL = np.array([0, 3, 5, 3, 1, 4, 5, 4, 2])
-#: packed cofactor k is a[_COF[0, k]] * a[_COF[1, k]] - a[_COF[2, k]] * a[_COF[3, k]]
-_COF = np.array([[1, 0, 0, 5, 3, 3], [2, 2, 1, 4, 5, 4],
-                 [4, 5, 3, 3, 0, 5], [4, 5, 3, 2, 4, 1]])
+def _box_solve2(h, g, box):
+    """Minimize q(x) = x.H x / 2 - g.x over a box, row by row: h (3, B)
+    holds (h00, h11, h01) of positive semi-definite 2x2 matrices H, g is
+    (2, B), box (2, 2, B) the lower and upper bounds; returns x (2, B).
+    The unconstrained minimum x* is the answer if it lies in the box, else
+    the minimum lies on an edge that x* violates: the better of the two
+    points that hold x_j at x*_j clipped and take the other coordinate's
+    1-D minimum, clipped.  A singular H sends x* to infinity along its null
+    vector, the way q falls; a row that is not finite gets a box point."""
+    h00, h11, h01 = h
+    lo, hi = box
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = h00 * h11 - h01 * h01
+        x = np.array([h11 * g[0] - h01 * g[1], h00 * g[1] - h01 * g[0]])
+        x = np.divide(x, det, where=det > 0, out=x * np.inf)
+        held = np.fmin(np.fmax(x, lo), hi)          # a NaN takes the lower bound
+        inside = (held == x).all(axis=0)
+        h_o, g_o, lo_o, hi_o = h[1::-1], g[::-1], lo[::-1], hi[::-1]
+        slope = g_o - h01 * held
+        # a flat or undefined 1-D minimum takes the bound its slope points to
+        free = np.divide(slope, h_o, where=h_o > 0, out=np.where(slope > 0, hi_o, lo_o))
+        free = np.fmin(np.fmax(free, lo_o), hi_o)
+        q = held * (0.5 * h[:2] * held - g) + free * (0.5 * h_o * free - slope)
+        edge = np.where(q[1] < q[0], np.array([free[1], held[1]]), np.array([held[0], free[0]]))
+        return np.where(inside, x, edge)
 
 
-def _solve_sym3(a, b):
-    """Solve a stack of symmetric 3x3 systems a x = b by cofactors.
-
-    a: (6, B), packed as above;  b: (3, B);  returns x: (3, B).  A system
-    whose determinant is zero or not finite gets x = 0; every other one is
-    solved on its own.
-    """
-    f = a[_COF]
-    cof = f[0] * f[1] - f[2] * f[3]
-    det = a[0] * cof[0] + a[3] * cof[3] + a[5] * cof[5]
-    adj = cof[_SYM_FULL].reshape(3, 3, -1)
-    num = adj[:, 0] * b[0] + adj[:, 1] * b[1] + adj[:, 2] * b[2]
-    solvable = np.isfinite(det) & (det != 0)
-    return np.divide(num, det, out=np.zeros_like(num), where=solvable)
-
-
-def _lm_batch(t, y, w, p0, lo, hi, t0):
-    """Projected Levenberg-Marquardt over a batch of traces.
+def _fit_batch(t, y, w, p0, lo, hi, t0):
+    """Fit tau alone over a batch of traces (variable projection).
 
     t: (T,);  y, w: (B, T);  p0, lo, hi: (B, 3) for (s_ss, s_init, tau).
-    Returns (params, cost, iterations, converged_mask).  A row with a
-    non-finite starting cost is returned unconverged after 0 iterations.
-
-    A row that converges is frozen and dropped from every later iteration,
-    so an iteration costs only as much as the rows still moving.  Every
-    per-row computation is row-local, the 3x3 solve included (a singular
-    system zeroes its own row's step), so a row's result does not depend on
-    which other rows share its batch.  When all rows share one weight row
-    (w a stride-0 broadcast, as in the Monte-Carlo refits), it stays one
-    (T,) row.
+    Returns (params, cost, iterations, converged_mask), cost the weighted
+    sum of squares at params; a row whose data or weights are not finite
+    is returned unconverged, with a NaN cost, after 0 iterations.  The
+    model s_ss (1 - e) + s_init e, e = exp(-(t - t0)/tau), is linear in its
+    levels, which each iteration solves exactly in their boxes, then takes
+    a Newton step on that reduced cost in tau: exact curvature over the
+    free levels, or Gauss-Newton where that is not positive.  A bracket
+    from the gradient's sign holds the step; one that leaves it bisects
+    the bracket, or lands on the tau box where the bracket ends there.  A
+    row converges, and is dropped, at the iteration after a step below
+    1e-8 tau or at a zero step or gradient.  Each per-row sum is a moment
+    of e or e^2 against w^2 (t - t0)^k or of e y w^2 against (t - t0)^k,
+    taken row by row with einsum, so no row depends on the rest of its
+    batch; weights shared by all rows (a stride-0 w) stay one row.
     """
-    b = len(y)
+    b, n_t = y.shape
     dt = t - t0
-    neg_dt = -dt
+    powers = np.stack([np.ones_like(dt), dt, dt * dt])
     shared = w.strides[0] == 0
-    if shared:
-        w = w[0]
-
-    def residuals(p, y, w):
-        e = np.divide(neg_dt, p[:, 2:3])
-        np.exp(e, out=e)
-        r = e * (p[:, 0:1] - p[:, 1:2])
-        np.subtract(p[:, 0:1], r, out=r)
-        r -= y
-        r *= w
-        return r, e
-
+    w2 = w[:1] ** 2 if shared else w ** 2
+    wk = powers[:, None] * w2              # w^2 (t - t0)^k: (3, 1 or B, T)
+    yw2 = y * w2
     p = np.clip(p0, lo, hi)
-    with np.errstate(invalid="ignore", over="ignore"):
-        r, e = residuals(p, y, w)
-        cost = np.einsum('bt,bt->b', r, r)
-    converged = np.zeros(b, dtype=bool)
-    iterations = np.zeros(b, dtype=int)
-    # working set: the unconverged rows (original indices in `rows`) and
-    # their state, compacted whenever some of them converge
-    rows = np.arange(b)
-    p_a, y_a, w_a, lo_a, hi_a, cost_a = p, y, w, lo, hi, cost
-    # a row whose data or start gives a non-finite cost cannot be fitted:
-    # it leaves the working set at once, not converged
-    finite = np.isfinite(cost)
-    if not finite.all():
-        rows, p_a, y_a, lo_a, hi_a, r, e, cost_a = (
-            x[finite] for x in (rows, p_a, y_a, lo_a, hi_a, r, e, cost_a))
-        if not shared:
-            w_a = w_a[finite]
-    lam = np.full(rows.size, 1e-3)
-    history = np.empty((rows.size, 20))   # cost 20 iterations ago, per row
-    # the Jacobian columns d r/d s_ss, d r/d s_init and d r/d tau, each one
-    # contiguous (rows, T) block; the working set only shrinks, so the
-    # first rows of one buffer hold every iteration's
-    jac_buf = np.empty((3, rows.size, len(t)))
+    # per-row state: tau, the bracket of its minimum, the tau box, sum w^2,
+    # sum y w^2, the lower and the upper (s_ss, s_init)
+    state = np.stack([p[:, 2], lo[:, 2], hi[:, 2], lo[:, 2], hi[:, 2],
+                      np.broadcast_to(np.einsum('bt->b', w2), (b,)), np.einsum('bt->b', yw2),
+                      lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]])
+    cost, converged, iterations = np.full(b, np.nan), np.zeros(b, bool), np.zeros(b, int)
+    # the working set of rows, compacted whenever some leave
+    rows = np.flatnonzero(np.isfinite(state[5]) & np.isfinite(state[6]))
+    state, yw2, wk = state[:, rows], yw2[rows], wk if shared else wk[:, rows]
+    small = np.zeros(rows.size, dtype=bool)      # the last step was below 1e-8 tau
+    e_buf = np.empty((3, rows.size, n_t))
     for it in range(MAX_ITERATIONS):
         if rows.size == 0:
             break
-        # d r/d tau is stored without its per-row factor
-        # c = -(s_ss - s_init)/tau^2, which is applied to the row sums; the
-        # normal equations are 6 + 3 row dot products of the columns
-        jac = jac_buf[:, :rows.size]
-        j1 = np.multiply(e, w_a, out=jac[1])
-        np.subtract(w_a, j1, out=jac[0])
-        np.multiply(j1, dt, out=jac[2])
-        jtj = np.empty((6, rows.size))
-        np.vecdot(jac, jac, out=jtj[0:3])
-        np.vecdot(jac[0:2], jac[1:3], out=jtj[3:5])
-        np.vecdot(jac[0], jac[2], out=jtj[5])
-        g = np.vecdot(jac, r)
-        c = (p_a[:, 1] - p_a[:, 0]) / p_a[:, 2] ** 2
-        g[2] *= c
-        # active-set reduction: a parameter pinned at a bound with its descent
-        # direction pointing outward is dropped from the solve, otherwise the
-        # clipped step crawls along the box face
-        scale = np.maximum(np.abs(p_a), 1e-12).T
-        p_t = p_a.T
-        pinned = ((((p_t - lo_a.T) <= 1e-12 * scale) & (g > 0)) |
-                  (((hi_a.T - p_t) <= 1e-12 * scale) & (g < 0)))
-        free = ~pinned
-        g = g * free
-        # entry (i, j) scales by m_i m_j: by c once per tau column, and to 0
-        # where a parameter is pinned, whose diagonal becomes 1
-        m = free * 1.0
-        m[2] *= c
-        jtj *= m[_SYM_I] * m[_SYM_J]
-        diag = jtj[0:3] + pinned
-        np.add(diag, lam * np.maximum(diag, 1e-12), out=jtj[0:3])
-        p_new = np.clip(p_a + _solve_sym3(jtj, -g).T, lo_a, hi_a)
-        r_new, e_new = residuals(p_new, y_a, w_a)
-        cost_new = np.einsum('bt,bt->b', r_new, r_new)
-        better = cost_new <= cost_a
-        rel_drop = (cost_a - cost_new) / np.maximum(cost_a, 1e-300)
-        small_step = (np.abs(p_new.T - p_t) / scale).max(axis=0) < 1e-5
-        # the trial state becomes the state; a row that got worse takes
-        # its previous state back
-        worse = ~better
-        if worse.any():
-            for new, old in ((p_new, p_a), (r_new, r), (e_new, e), (cost_new, cost_a)):
-                new[worse] = old[worse]
-        p_a, r, e, cost_a = p_new, r_new, e_new, cost_new
-        lam = np.where(better, lam / 3.0, lam * 10.0)
-        # quadratic convergence on clean data makes the step criterion safe
-        # (remaining error is O(step^2)); the 20-iteration window ends the
-        # slow zigzag crawl along the flat tau valley that strongly
-        # non-exponential traces produce
-        newly = (better & ((rel_drop < 1e-9) | small_step)) | (lam > 1e10)
-        slot = it % 20
-        if it >= 20:     # the window is full: stalled rows stop too
-            past = history[:, slot]
-            newly |= (past - cost_a) < 1e-5 * np.maximum(past, 1e-300)
-        history[:, slot] = cost_a
-        if newly.any():
-            done = rows[newly]
-            p[done] = p_a[newly]
-            cost[done] = cost_a[newly]
+        n = rows.size
+        tau, lo_b, hi_b, lo_tau, hi_tau, s0, ysum = state[:7]
+        box = state[7:].reshape(2, 2, n)
+        e, e2, ye = e_buf[:, :n]
+        np.divide(-dt, tau[:, None], out=e)
+        np.exp(e, out=e)
+        np.multiply(e, e, out=e2)
+        np.multiply(e, yw2, out=ye)
+        a0, a1, a2 = np.einsum('bt,kbt->kb', e, wk)
+        b0, b1, b2 = np.einsum('bt,kbt->kb', e2, wk)
+        y0, y1, y2 = np.einsum('bt,kt->kb', ye, powers)
+        h = np.array([s0 - 2.0 * a0 + b0, b0, a0 - b0])
+        s_ss, s_init = levels = _box_solve2(h, np.array([ysum - y0, y0]), box)
+        c = s_init - s_ss
+        # sums of w^2 r e (t - t0)^k, k = 1, 2, r the unweighted residual
+        r1 = s_ss * a1 + c * b1 - y1
+        r2 = s_ss * a2 + c * b2 - y2
+        # gradient and curvature (exact; Gauss-Newton) times tau^2/2 and tau^4/2
+        grad = c * r1
+        free = (box[0] < levels) & (levels < box[1])
+        u0 = np.array([c * (a1 - b1) - r1, c * (a1 - b1)]) * free[0]
+        u1 = np.array([c * b1 + r1, c * b1]) * free[1]
+        m00, m11 = np.where(free, h[:2], 1.0)
+        m01 = h[2] * (free[0] & free[1])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            curv = (c * c * b2 + np.array([c * (r2 - 2.0 * tau * r1), np.zeros_like(c)])
+                    - (m11 * u0 * u0 - 2.0 * m01 * u0 * u1 + m00 * u1 * u1)
+                    / (m00 * m11 - m01 * m01))
+            step = -grad * tau * tau / np.where(curv[0] > 0, curv[0], curv[1])
+        # the minimum lies on the descent side of tau
+        hi_b = np.where(grad > 0, tau, hi_b)
+        lo_b = np.where(grad < 0, tau, lo_b)
+        new = tau + step
+        out = ~((new > lo_b) & (new < hi_b))
+        at_box = np.where(step > 0, hi_b == hi_tau, lo_b == lo_tau)
+        new = np.where(out, np.where(at_box, np.clip(new, lo_b, hi_b), 0.5 * (lo_b + hi_b)), new)
+        newly = small | (new == tau) | (grad == 0)
+        # leaving rows keep this iteration's levels, tau and cost
+        leave = newly | (it + 1 == MAX_ITERATIONS)
+        if leave.any():
+            done = rows[leave]
+            r = s_ss[leave, None] + c[leave, None] * e[leave] - y[done]
+            cost[done] = np.einsum('bt,bt->b', r * np.broadcast_to(wk[0], (n, n_t))[leave], r)
+            p[done] = np.array([s_ss[leave], s_init[leave], tau[leave]]).T
             iterations[done] = it + 1
-            converged[done] = True
-            keep = ~newly
-            rows, p_a, y_a, lo_a, hi_a, r, e, cost_a, lam, history = (
-                x[keep] for x in (rows, p_a, y_a, lo_a, hi_a, r, e, cost_a, lam, history))
+            converged[done] = newly[leave]
+            keep = ~leave
+            rows, new, lo_b, hi_b, yw2 = (x[keep] for x in (rows, new, lo_b, hi_b, yw2))
+            state = state[:, keep]
             if not shared:
-                w_a = w_a[keep]
-    # rows still iterating ran every iteration
-    p[rows] = p_a
-    cost[rows] = cost_a
-    iterations[rows] = MAX_ITERATIONS
+                wk = wk[:, keep]
+        small = np.abs(new - state[0]) < 1e-8 * state[0]
+        state[0], state[1], state[2] = new, lo_b, hi_b
     return p, cost, iterations, converged
 
 
@@ -309,7 +279,7 @@ def _fit_rows(t, y, u, window, sigma_ss_estimate=None):
     """Fit every row of y (B, T) on the window samples t (T,), weighted by
     u, (T,) or (B, T).  The tail mean is taken from a C-contiguous copy, so
     each row's estimate is bitwise the 1-D ``np.mean`` of its tail.
-    Returns _lm_batch's (params, cost, iterations, converged) and the weights.
+    Returns _fit_batch's (params, cost, iterations, converged) and the weights.
     """
     if t.size < 10:
         raise DomainError("need at least 10 samples inside the fit window")
@@ -320,7 +290,7 @@ def _fit_rows(t, y, u, window, sigma_ss_estimate=None):
                else np.full(b, float(sigma_ss_estimate)))
     lo, hi = _boxes(sss_est, y[:, 0], b)
     p0 = np.stack([sss_est, y[:, 0], np.full(b, TAU_INITIAL)], axis=1)
-    return _lm_batch(t, y, w, p0, lo, hi, t0=window[0]) + (w,)
+    return _fit_batch(t, y, w, p0, lo, hi, t0=window[0]) + (w,)
 
 
 def fit_rise_times(traces, window: tuple[float, float] = FIT_WINDOW,

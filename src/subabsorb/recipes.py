@@ -434,8 +434,9 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     write failure (SWEEP_ERRORS) ends the sweep: sweep.csv holds the rows
     completed before it, and sweep_meta.json is marked incomplete with an
     ``error`` record.  Fit failures are then re-raised as FitError, the
-    others as their own type.  When sweep.csv or sweep_meta.json cannot be
-    written either, that OSError is raised instead.
+    others as their own type; an OSError keeps its errno and filename.
+    When sweep.csv or sweep_meta.json cannot be written either, that
+    OSError is raised instead.
     """
     base_seed = recipe.ensemble.rng_seed if seed is None else int(seed)
     n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)
@@ -477,8 +478,12 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
         json.dump(meta, fh, indent=1, sort_keys=True)
 
     if error is not None:
-        message = f"sweep {recipe.name} aborted: {error}; partial results in {run_dir}"
+        head, tail = f"sweep {recipe.name} aborted: ", f"; partial results in {run_dir}"
         if isinstance(error, FIT_ERRORS):
-            raise analysis.FitError(message) from error
-        raise type(error)(message) from error
+            raise analysis.FitError(f"{head}{error}{tail}") from error
+        if isinstance(error, OSError) and error.errno is not None:
+            # keeps errno and filename, which str() shows as OSError does
+            raise type(error)(error.errno, f"{head}{error.strerror}{tail}",
+                              error.filename) from error
+        raise type(error)(f"{head}{error}{tail}") from error
     return collected

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from subabsorb import analysis
 from subabsorb.analysis import (FIT_WINDOW, TAIL_FRACTION, TAU_INITIAL,
                                 DegenerateTraceError, FitError, OpticalDepthTrace,
-                                _boxes, _fit_rows, _solve_sym3, fit_rise_time,
+                                _box_solve2, _boxes, _fit_rows, fit_rise_time,
                                 fit_rise_times, fit_with_uncertainty,
                                 monte_carlo_uncertainty,
                                 optical_depth_trace, synthesize_counts,
                                 trace_from_dipole)
 from subabsorb.core import DomainError, EnsembleConfig, PulseShape
-from subabsorb.maxwell_bloch import TransmissionTrace
+from subabsorb.maxwell_bloch import TransmissionTrace, propagate_batch, transmission_from_grid
+from subabsorb.recipes import get_recipe
 
 
 def make_trace(t, sigma, u=None):
@@ -160,19 +162,19 @@ class TestFitRiseTimes:
     def test_first_unconverged_trace_raises(self, monkeypatch):
         t = np.linspace(0, 8, 201)
         traces = [make_trace(t, exponential_truth(t, s)) for s in (0.1, 0.2, 0.3, 0.4)]
-        original = analysis._lm_batch
+        original = analysis._fit_batch
 
         def two_fail(*args, **kwargs):
             p, cost, iters, ok = original(*args, **kwargs)
             ok[[1, 3]] = False
             return p, cost, iters, ok
 
-        monkeypatch.setattr(analysis, "_lm_batch", two_fail)
+        monkeypatch.setattr(analysis, "_fit_batch", two_fail)
         with pytest.raises(FitError) as info:
             fit_rise_times(traces)
         # the error carries row 1's parameters, the first unconverged row
         p_first, _ = info.value.residuals
-        monkeypatch.setattr(analysis, "_lm_batch", original)
+        monkeypatch.setattr(analysis, "_fit_batch", original)
         fit = fit_rise_time(traces[1])
         assert (p_first == [fit.sigma_ss_fit, fit.sigma_init, fit.tau]).all()
 
@@ -189,7 +191,8 @@ class TestKernelOracle:
     an independent bounded solver, on the same residuals, boxes and start."""
 
     @staticmethod
-    def _scipy_tau(t, y, u, sigma_ss_estimate=None):
+    def _scipy_fit(t, y, u, sigma_ss_estimate=None, tau_starts=(TAU_INITIAL,), tol=1e-14):
+        """(tau, cost) of the lowest-cost trust-region fit over the starting taus."""
         from scipy.optimize import least_squares
         window = FIT_WINDOW
         tail = t >= window[1] - (window[1] - window[0]) * TAIL_FRACTION
@@ -200,10 +203,15 @@ class TestKernelOracle:
         def residuals(p):
             return (p[0] - (p[0] - p[1]) * np.exp(-(t - window[0]) / p[2]) - y) * w
 
-        p0 = np.clip([sss, y[0], TAU_INITIAL], lo[0], hi[0])
-        fit = least_squares(residuals, p0, bounds=(lo[0], hi[0]), method="trf",
-                            ftol=1e-14, xtol=1e-14, gtol=1e-14)
-        return fit.x[2]
+        fits = [least_squares(residuals, np.clip([sss, y[0], tau], lo[0], hi[0]),
+                              bounds=(lo[0], hi[0]), method="trf",
+                              ftol=tol, xtol=tol, gtol=tol) for tau in tau_starts]
+        best = min(fits, key=lambda fit: fit.cost)
+        return best.x[2], 2.0 * best.cost
+
+    @classmethod
+    def _scipy_tau(cls, t, y, u, sigma_ss_estimate=None):
+        return cls._scipy_fit(t, y, u, sigma_ss_estimate)[0]
 
     def test_count_traces_match_trust_region_fits(self):
         # criterion-11 traces: 10^5 cycles of 30 photons in 4 ns bins
@@ -231,37 +239,77 @@ class TestKernelOracle:
         assert fit.bound_saturated
         assert fit.tau == pytest.approx(tau, rel=1e-5)
 
+    def test_ringing_traces_reach_the_trust_region_optimum(self):
+        # fig11_detuning_sweep points at 0.6 and 0.9 Gamma: detuned
+        # propagation makes sigma(t) ring about its rise, so the cost has
+        # long flat valleys in tau
+        recipe = get_recipe("fig11_detuning_sweep")
+        pulses = [replace(recipe.pulse, detuning=d) for d in (0.6, 0.9)]
+        grids = propagate_batch(pulses, [recipe.sigma_ss_fixed] * 2)
+        for pulse, grid in zip(pulses, grids):
+            trace = optical_depth_trace(transmission_from_grid(grid, pulse))
+            fit = fit_rise_time(trace)
+            inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
+            t, y = trace.t_points[inside], trace.sigma[inside]
+            tau, cost = self._scipy_fit(t, y, trace.u_sigma[inside],
+                                        tau_starts=(0.1, 0.5, 1.0, 2.0, 4.0, 8.0), tol=1e-15)
+            resid = (fit.sigma_ss_fit - (fit.sigma_ss_fit - fit.sigma_init)
+                     * np.exp(-(t - FIT_WINDOW[0]) / fit.tau) - y)
+            assert fit.tau == pytest.approx(tau, rel=1e-6)
+            assert np.sum(resid ** 2) <= cost * (1 + 1e-12)
 
-class TestCofactorSolve:
+
+class TestBoxSolve:
+    """The 2x2 bounded least-squares solve of the endpoint levels against
+    scipy's lsq_linear on the same problems: for H = A^T A and g = A^T b,
+    x.H x / 2 - g.x is ||A x - b||^2 / 2 up to a constant."""
+
     @staticmethod
-    def _packed(m):
-        return np.stack([m[:, 0, 0], m[:, 1, 1], m[:, 2, 2],
-                         m[:, 0, 1], m[:, 1, 2], m[:, 0, 2]])
+    def _problems(rng, n):
+        # columns from nearly parallel (cond(A) ~ 1e8) to well apart
+        u = rng.normal(size=(n, 40))
+        v = u + 10.0 ** rng.uniform(-8, 1, size=(n, 1)) * rng.normal(size=(n, 40))
+        a = np.stack([u, v], axis=2) * np.exp(rng.normal(size=(n, 1, 2)))
+        rhs = rng.normal(size=(n, 40)) + np.einsum('nti,ni->nt', a, rng.normal(size=(n, 2)))
+        centre = rng.normal(size=(n, 2))
+        half = 10.0 ** rng.uniform(-2, 1, size=(n, 2))
+        return a, rhs, centre - half, centre + half
 
-    def test_agrees_with_numpy_solve_on_spd_stacks(self):
+    @staticmethod
+    def _packed(a, rhs):
+        h = np.einsum('nti,ntj->ijn', a, a)
+        return np.stack([h[0, 0], h[1, 1], h[0, 1]]), np.einsum('nti,nt->in', a, rhs)
+
+    def test_agrees_with_lsq_linear(self):
+        from scipy.optimize import lsq_linear
         rng = np.random.default_rng(12)
-        a = rng.normal(size=(2000, 3, 3))
-        m = a @ a.transpose(0, 2, 1)
-        b = rng.normal(size=(2000, 3))
-        x = _solve_sym3(self._packed(m), b.T).T
-        ref = np.linalg.solve(m, b[:, :, None])[:, :, 0]
-        # either solve is accurate to a small multiple of cond(m) * eps
-        cond = np.linalg.cond(m)
-        assert cond.max() > 1e6
-        err = np.linalg.norm(x - ref, axis=1) / np.linalg.norm(ref, axis=1)
-        assert np.all(err <= 100 * cond * np.finfo(float).eps)
+        a, rhs, lo, hi = self._problems(rng, 400)
+        h, g = self._packed(a, rhs)
+        x = _box_solve2(h, g, np.stack([lo.T, hi.T])).T
+        assert np.all((x >= lo) & (x <= hi))
+        for i in range(len(x)):
+            ref = lsq_linear(a[i], rhs[i], bounds=(lo[i], hi[i]), tol=1e-15,
+                             lsmr_tol=1e-15).x
+            cost = np.sum((a[i] @ x[i] - rhs[i]) ** 2)
+            cost_ref = np.sum((a[i] @ ref - rhs[i]) ** 2)
+            assert cost <= cost_ref * (1 + 1e-9) + 1e-12 * np.sum(rhs[i] ** 2)
+            if np.linalg.cond(a[i]) < 1e3:
+                assert np.abs(x[i] - ref).max() <= 1e-7 * (hi[i] - lo[i]).max()
 
-    def test_singular_row_gets_a_zero_step_alone(self):
+    def test_singular_or_nonfinite_row_solved_alone(self):
         rng = np.random.default_rng(13)
-        a = rng.normal(size=(6, 3, 3))
-        m = a @ a.transpose(0, 2, 1) + np.eye(3)
-        b = rng.normal(size=(6, 3))
-        alone = _solve_sym3(self._packed(m), b.T).T
-        m[1] = 1.0           # rank 1: the determinant is exactly 0
-        m[4, 2, 2] = np.nan  # a determinant that is not finite
-        x = _solve_sym3(self._packed(m), b.T).T
-        assert (x[[1, 4]] == 0).all()
-        assert np.array_equal(x[[0, 2, 3, 5]], alone[[0, 2, 3, 5]])
+        a, rhs, lo, hi = self._problems(rng, 6)
+        h, g = self._packed(a, rhs)
+        box = np.stack([lo.T, hi.T])
+        alone = [_box_solve2(h[:, i:i + 1], g[:, i:i + 1], box[..., i:i + 1]) for i in range(6)]
+        h[:, 1] = 1.0           # rank 1: the determinant is exactly 0
+        h[0, 3] = np.nan        # a matrix that is not finite
+        g[1, 5] = np.inf        # a right-hand side that is not finite
+        x = _box_solve2(h, g, box)
+        assert np.all(np.isfinite(x))
+        assert np.all((x >= lo.T) & (x <= hi.T))
+        for i in (0, 2, 4):
+            assert np.array_equal(x[:, i:i + 1], alone[i])
 
 
 class TestSynthesizeCounts:
@@ -344,7 +392,7 @@ class TestMonteCarloUncertainty:
         def no_refit(*args, **kwargs):
             raise AssertionError("refitted a window without uncertainties")
 
-        monkeypatch.setattr(analysis, "_lm_batch", no_refit)
+        monkeypatch.setattr(analysis, "_fit_batch", no_refit)
         assert monte_carlo_uncertainty(trace, resamples=10_000, seed=0) == 0.0
 
     def test_reproducible_to_three_figures(self):
@@ -461,7 +509,7 @@ class TestMonteCarloUncertainty:
             return p0.copy(), np.zeros(n), np.zeros(n, dtype=int), np.ones(n, dtype=bool)
 
         trace = self._noisy_trace(seed=8)
-        monkeypatch.setattr(analysis, "_lm_batch", capture)
+        monkeypatch.setattr(analysis, "_fit_batch", capture)
         monte_carlo_uncertainty(trace, resamples=2000, seed=3)
         inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
         t = trace.t_points[inside]

@@ -337,6 +337,17 @@ class TestRunRecipe:
         assert row.tau_over_2tau_a == float(taus.mean() / 2.0)
         assert row.tau_err_over_2tau_a == float(taus.std(ddof=1) / np.sqrt(6) / 2.0)
 
+    def test_write_error_keeps_errno_and_filename(self, tmp_path):
+        # a directory where the first point's trace goes
+        blocked = tmp_path / "fig10_detuning" / "point_00_trace.csv"
+        blocked.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as info:
+            run_recipe(get_recipe("fig10_detuning"), tmp_path)
+        assert info.value.errno == errno.EISDIR
+        assert info.value.filename == str(blocked)
+        assert "sweep fig10_detuning aborted" in str(info.value)
+        assert str(blocked) in str(info.value)
+
     def test_beta_sweep_rows_carry_inner_grid(self, tmp_path):
         recipe = ExperimentRecipe(
             name="beta2", model="coupled_dipole", swept_parameter="beta",
