@@ -275,66 +275,64 @@ def _fit_weights(u: np.ndarray) -> np.ndarray:
     return np.where(weighted, 1.0 / np.where(weighted, u, 1.0), 1.0)
 
 
-def _fit_rows(t, y, u, window, sigma_ss_estimate=None):
-    """Fit every row of y (B, T) on the window samples t (T,), weighted by
-    u, (T,) or (B, T).  The tail mean is taken from a C-contiguous copy, so
+def _fit_rows(t, y, u):
+    """Fit every row of y (B, T) on the FIT_WINDOW samples t (T,), weighted
+    by u, (T,) or (B, T).  The tail mean is taken from a C-contiguous copy, so
     each row's estimate is bitwise the 1-D ``np.mean`` of its tail.
     Returns _fit_batch's (params, cost, iterations, converged) and the weights.
     """
     if t.size < 10:
         raise DomainError("need at least 10 samples inside the fit window")
     w = np.broadcast_to(_fit_weights(u), y.shape)
-    tail = t >= window[1] - (window[1] - window[0]) * TAIL_FRACTION
+    tail = t >= FIT_WINDOW[1] - (FIT_WINDOW[1] - FIT_WINDOW[0]) * TAIL_FRACTION
     b = len(y)
-    sss_est = (np.ascontiguousarray(y[:, tail]).mean(axis=1) if sigma_ss_estimate is None
-               else np.full(b, float(sigma_ss_estimate)))
+    sss_est = np.ascontiguousarray(y[:, tail]).mean(axis=1)
     lo, hi = _boxes(sss_est, y[:, 0], b)
     p0 = np.stack([sss_est, y[:, 0], np.full(b, TAU_INITIAL)], axis=1)
-    return _fit_batch(t, y, w, p0, lo, hi, t0=window[0]) + (w,)
+    return _fit_batch(t, y, w, p0, lo, hi, t0=FIT_WINDOW[0]) + (w,)
 
 
-def fit_rise_times(traces, window: tuple[float, float] = FIT_WINDOW,
-                   sigma_ss_estimate: float | None = None) -> list[RiseTimeFit]:
+def fit_rise_times(traces) -> list[RiseTimeFit]:
     """Weighted exponential-rise fits of traces on one time grid, in one batch.
 
-    Each trace is fitted as it would be alone.  Its steady-state estimate
-    is the mean over the trailing eighth of the window, its initial
-    estimate the first window sample.  The squared residuals are weighted
-    by 1/u_sigma^2 when every uncertainty in the trace's window is
-    positive; a window of zero uncertainties (a model trace) is fitted with
-    unit weights, and one that mixes zero and positive uncertainties raises
-    DomainError.  FitError is raised for the first trace that does not converge.
+    Each trace is fitted on FIT_WINDOW as it would be alone.  Its
+    steady-state estimate is the mean over the trailing eighth of the
+    window, its initial estimate the first window sample.  The squared
+    residuals are weighted by 1/u_sigma^2 when every uncertainty in the
+    trace's window is positive; a window of zero uncertainties (a model
+    trace) is fitted with unit weights, and one that mixes zero and positive
+    uncertainties raises DomainError.  FitError is raised for the first
+    trace that does not converge.
     """
     t = np.asarray(traces[0].t_points, dtype=float)
     if any(not np.array_equal(tr.t_points, t) for tr in traces[1:]):
         raise DomainError("fit_rise_times needs traces on one time grid")
-    mask = (t >= window[0]) & (t <= window[1])
+    mask = (t >= FIT_WINDOW[0]) & (t <= FIT_WINDOW[1])
     tw = t[mask]
     yw = np.stack([np.asarray(tr.sigma, dtype=float)[mask] for tr in traces])
     if np.any(~np.isfinite(yw)):
         raise DegenerateTraceError("undefined sigma inside the fit window")
     uw = np.stack([np.asarray(tr.u_sigma, dtype=float)[mask] for tr in traces])
-    p, cost, iters, ok, w = _fit_rows(tw, yw, uw, window, sigma_ss_estimate)
+    p, cost, iters, ok, w = _fit_rows(tw, yw, uw)
     if not np.all(ok):
         i = int(np.argmin(ok))
         raise FitError(f"no convergence after {MAX_ITERATIONS} iterations",
                        residuals=(p[i], cost[i]))
     s_ss, s_init, tau = p[:, 0:1], p[:, 1:2], p[:, 2:3]
-    resid = s_ss - (s_ss - s_init) * np.exp(-(tw - window[0]) / tau) - yw
+    resid = s_ss - (s_ss - s_init) * np.exp(-(tw - FIT_WINDOW[0]) / tau) - yw
     chi2 = np.sum((resid * w) ** 2, axis=1) / max(len(tw) - 3, 1)
     rms = np.sqrt(np.mean(resid ** 2, axis=1))
     saturated = (tau <= TAU_BOUNDS[0] * (1 + 1e-9)) | (tau >= TAU_BOUNDS[1] * (1 - 1e-9))
     return [RiseTimeFit(tau=float(p[i, 2]), sigma_init=float(p[i, 1]),
-                        sigma_ss_fit=float(p[i, 0]), fit_window=window,
+                        sigma_ss_fit=float(p[i, 0]), fit_window=FIT_WINDOW,
                         residual_rms=float(rms[i]), reduced_chi_squared=float(chi2[i]),
                         n_iterations=int(iters[i]), bound_saturated=bool(saturated[i, 0]))
             for i in range(len(p))]
 
 
-def fit_rise_time(trace: OpticalDepthTrace, sigma_ss_estimate: float | None = None,
-                  window: tuple[float, float] = FIT_WINDOW) -> RiseTimeFit:
+def fit_rise_time(trace: OpticalDepthTrace) -> RiseTimeFit:
     """fit_rise_times of this one trace."""
-    return fit_rise_times([trace], window=window, sigma_ss_estimate=sigma_ss_estimate)[0]
+    return fit_rise_times([trace])[0]
 
 
 def synthesize_counts(truth: OpticalDepthTrace, cycles: int, photons_per_pulse: float,
@@ -378,8 +376,7 @@ def synthesize_counts(truth: OpticalDepthTrace, cycles: int, photons_per_pulse: 
 
 
 def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
-                            seed: int = 0,
-                            window: tuple[float, float] = FIT_WINDOW) -> float:
+                            seed: int = 0) -> float:
     """Std of refitted tau over Gaussian perturbations of each trace point.
 
     All noise comes from one stream: resample i adds row i of
@@ -403,7 +400,7 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     if resamples < 2:
         raise DomainError("need at least 2 resamples for a standard deviation")
     t = np.asarray(trace.t_points, dtype=float)
-    mask = (t >= window[0]) & (t <= window[1])
+    mask = (t >= FIT_WINDOW[0]) & (t <= FIT_WINDOW[1])
     uw = np.asarray(trace.u_sigma, dtype=float)[mask]
     if not np.any(uw > 0):
         return 0.0
@@ -416,7 +413,7 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
         pert = rng.standard_normal((min(MC_BLOCK, resamples - start), len(uw)))
         pert *= uw
         pert += yw
-        p, cost, _, ok, _ = _fit_rows(tw, pert, uw, window)
+        p, cost, _, ok, _ = _fit_rows(tw, pert, uw)
         ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
         good = p[ok, 2]
         taus[kept:kept + good.size] = good
@@ -438,12 +435,7 @@ def monte_carlo_peak_bytes(trace: OpticalDepthTrace, resamples: int) -> int:
 
 
 def fit_with_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
-                         seed: int = 0, **kwargs) -> RiseTimeFit:
-    """Convenience composition: direct fit plus Monte-Carlo tau uncertainty.
-
-    The refits use the direct fit's window, so a custom ``window`` applies
-    to both.
-    """
-    fit = fit_rise_time(trace, **kwargs)
-    return replace(fit, tau_uncertainty=monte_carlo_uncertainty(
-        trace, resamples=resamples, seed=seed, window=fit.fit_window))
+                         seed: int = 0) -> RiseTimeFit:
+    """Convenience composition: direct fit plus Monte-Carlo tau uncertainty."""
+    return replace(fit_rise_time(trace), tau_uncertainty=monte_carlo_uncertainty(
+        trace, resamples=resamples, seed=seed))

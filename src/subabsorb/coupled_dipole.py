@@ -12,17 +12,19 @@ closed-form step response is
     c(t) = (I - exp(-H t)) H^{-1} b.
 
 The readout P(t), its steady state and sum |c_j|^2 are quadratic forms
-u^T f(H) u + v^T f(H) v of the drive vectors u = cos(kz), v = sin(kz),
-with f(lambda) = (1 - e^{-lambda t})/lambda, its square, or 1/lambda.
-Block Lanczos on H0, started from the block [u, v], gives the Gauss rule
-for these forms: its nodes are Ritz values and its weights come from the
-first rows of the Ritz vectors, and m block steps integrate every
-polynomial of degree up to 2m-1 exactly (Golub & Welsch 1969; Golub &
-Meurant, Matrices, Moments and Quadrature, 2010).  Every H(S) has the same
-Krylov space, and the rule at S is the rule of H0 with its nodes mapped by
-lambda -> 1/2 + S*(lambda - 1/2).  That map, in spectral_trace, is the one
-place where dephasing enters the model, so one Lanczos run per realization
-serves every gamma_DD (see RealizationSpectrum).
+b^H f(H) b of the drive in units of -i*Omega0, b = e^{ikz}, with f(lambda) =
+(1 - e^{-lambda t})/lambda, its square, or 1/lambda; H is real symmetric,
+so each equals u^T f(H) u + v^T f(H) v for u = cos(kz), v = sin(kz).
+Hermitian Lanczos on H0, started from b alone, gives the Gauss rule for
+these forms: its nodes are the Ritz values, the eigenvalues of a real
+tridiagonal T, its weights ||b||^2 times the squared first components of
+T's eigenvectors, and m steps integrate every polynomial of degree up to
+2m-1 exactly (Golub & Welsch 1969; Golub & Meurant, Matrices, Moments and
+Quadrature, 2010).  Every H(S) has the same Krylov space, and the rule at
+S is the rule of H0 with its nodes mapped by lambda -> 1/2 + S*(lambda -
+1/2).  That map, in spectral_trace, is the one place where dephasing
+enters the model, so one Lanczos run per realization serves every
+gamma_DD (see RealizationSpectrum).
 
 Every H(S) with S < 1 is positive by structure: H0 = Gamma/2 is half the
 cooperative decay matrix, a Gram matrix in both coupling modes (Lehmberg,
@@ -54,9 +56,9 @@ MAX_REJECTIONS = 1_000_000
 SAMPLE_BLOCK = 64                 # candidate positions drawn and tested together
 ASSEMBLY_BLOCK = 64               # rows of H filled per block of pair separations
 #: Lanczos stops once the S = 1 readout moves by less than this, relative,
-#: over LANCZOS_STRIDE block steps
+#: over LANCZOS_STRIDE steps
 LANCZOS_TOL = 1e-13
-LANCZOS_STRIDE = 4                # block steps between readout checks
+LANCZOS_STRIDE = 4                # Lanczos steps between readout checks
 #: c of _gram_margin: every assembled entry of H0 is within
 #: GRAM_ROUNDING * eps * (1 + (k r)^-2) of its exact value
 GRAM_ROUNDING = 32
@@ -307,11 +309,11 @@ class RealizationSpectrum:
     """Dephasing-independent Gauss rule of one realization.
 
     lambda0 are the nodes (Ritz values of H0 = H(gamma_DD = 0), ascending)
-    and weights the Gauss weights of the block Lanczos rule for the drive
-    vectors: sum_j weights_j f(lambda0_j) = u^T f(H0) u + v^T f(H0) v for
-    the readout functions f.  There are at most N nodes; with N of them the
-    rule is the full spectrum with the eigenvector weights
-    |(Q^T e^{ikz})_j|^2.
+    and weights the Gauss weights of the Lanczos rule for the drive
+    b = e^{ikz}: sum_j weights_j f(lambda0_j) = b^H f(H0) b for the readout
+    functions f.  There are at most N nodes, and fewer when b lies in a
+    smaller invariant subspace; with all of them the rule is the spectrum
+    that b sees, with the eigenvector weights |(Q^T b)_j|^2.
 
     Ritz values lie inside [lambda_min, lambda_max] of H0, so a positive
     smallest node does not prove H0 positive.  Positivity is settled in one
@@ -345,29 +347,22 @@ def _readout(lam: np.ndarray, w: np.ndarray):
     return phi @ w, (phi * phi) @ w, np.sum(w / lam)
 
 
-def _span(w: np.ndarray, floor: float):
-    """Orthonormal rows spanning the rows of w (b, N), and the (r, b)
-    coefficients c with w = c.T @ rows; directions with singular value at
-    or below ``floor`` are dropped (Lanczos breakdown)."""
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    r = int(np.count_nonzero(s > floor))
-    return vt[:r], s[:r, None] * u[:, :r].T
+def _gauss_rule(h0: np.ndarray, b: np.ndarray):
+    """Nodes and weights of the Lanczos Gauss rule of H0 for the drive
+    b = e^{ikz} (N,).
 
-
-def _gauss_rule(h0: np.ndarray, drive: np.ndarray):
-    """Nodes and weights of the block Lanczos Gauss rule of H0 for the
-    drive rows (2, N) = [cos kz; sin kz].
-
-    One matmul per block step, with full reorthogonalization (classical
-    Gram-Schmidt, twice) against every earlier Lanczos vector.  The block
-    tridiagonal T (k x k) is diagonalized every LANCZOS_STRIDE steps; with
-    T = S diag(theta) S^T and drive = R0^T @ (first block), the nodes are
-    theta and the weights |R0^T S[:b, i]|^2.  The run stops on breakdown,
-    when k reaches N (the rule is then exact), or once the S = 1 readout
-    (_readout on T_POINTS: P(t), sum |c|^2 and the steady state) has moved
-    by less than LANCZOS_TOL, relative to its largest value, since the
-    previous check.  Every step is a fixed sequence of BLAS and LAPACK
-    calls, so a rerun gives the same bits.
+    One matmul per step, on the real and imaginary parts of the newest
+    Lanczos vector, with full reorthogonalization (classical Gram-Schmidt,
+    twice) against every earlier one.  H0 is real symmetric, so T (k x k)
+    is real tridiagonal: alpha on its diagonal and the norms beta of the
+    new vectors beside it.  T is diagonalized every LANCZOS_STRIDE steps;
+    with T = V diag(theta) V^T the nodes are theta and the weights
+    ||b||^2 V[0, :]^2.  The run stops on breakdown, when k reaches N (the
+    rule is then exact), or once the S = 1 readout (_readout on T_POINTS:
+    P(t), sum |c|^2 and the steady state) has moved by less than
+    LANCZOS_TOL, relative to its largest value, since the previous check.
+    Every step is a fixed sequence of BLAS and LAPACK calls, so a rerun
+    gives the same bits.
 
     S = 1 is the hardest suppression to converge.  The rule at S integrates
     f(1/2 + S*(lambda - 1/2)) at S = 1, and the Gauss error for a function
@@ -379,32 +374,32 @@ def _gauss_rule(h0: np.ndarray, drive: np.ndarray):
     1/lambda and phi_t vary fastest, is larger.  Every readout function is
     thus approximated at least as well at S < 1 as at S = 1.
     """
-    n = h0.shape[1]
+    n = len(b)
     eps_n = n * np.finfo(float).eps
-    rows, r0 = _span(drive, eps_n * np.linalg.norm(drive))
+    norm2 = np.vdot(b, b).real
     cap = min(n, 32)
-    basis = np.empty((cap, n))          # Lanczos vectors, as rows
-    tri = np.zeros((cap, cap))          # block tridiagonal T
-    lo, k = 0, len(rows)                # the current block is basis[lo:k]
-    basis[:k] = rows
-    steps = 0
+    basis = np.empty((cap, n), dtype=complex)   # Lanczos vectors, as rows
+    basis[0] = b / math.sqrt(norm2)
+    alpha, beta = [], []
+    k = 1
     previous = None
     while True:
-        w = basis[lo:k] @ h0            # (H0 Y^T)^T, H0 being symmetric
+        q = basis[k - 1]
+        w = np.stack([q.real, q.imag]) @ h0     # (H0 q)^T, H0 being symmetric
+        w = w[0] + 1j * w[1]
         floor = eps_n * np.linalg.norm(w)
-        coef = w @ basis[:k].T
+        # basis^H w, conjugated twice so the basis is never copied
+        coef = (basis[:k] @ w.conj()).conj()
         w -= coef @ basis[:k]
-        again = w @ basis[:k].T
+        again = (basis[:k] @ w.conj()).conj()
         w -= again @ basis[:k]
-        a = (coef + again)[:, lo:k]
-        tri[lo:k, lo:k] = 0.5 * (a + a.T)
-        steps += 1
-        rows, b = _span(w, floor)
-        rows = rows[:n - k]
-        exact = len(rows) == 0
-        if exact or steps % LANCZOS_STRIDE == 0:
-            nodes, vecs = np.linalg.eigh(tri[:k, :k])
-            weights = np.sum((r0.T @ vecs[:len(r0)]) ** 2, axis=0)
+        alpha.append((coef[-1] + again[-1]).real)
+        size = np.linalg.norm(w)
+        exact = size <= floor or k == n
+        if exact or k % LANCZOS_STRIDE == 0:
+            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            nodes, vecs = np.linalg.eigh(tri)
+            weights = norm2 * vecs[0] ** 2
             if exact:
                 return nodes, weights
             readout = _readout(nodes, weights)
@@ -413,15 +408,12 @@ def _gauss_rule(h0: np.ndarray, drive: np.ndarray):
                     for x, y in zip(readout, previous)):
                 return nodes, weights
             previous = readout
-        r = len(rows)
-        if k + r > cap:
+        if k == cap:
             cap = min(n, 2 * cap)
-            basis = np.concatenate([basis[:k], np.empty((cap - k, n))])
-            tri = np.pad(tri[:k, :k], (0, cap - k))
-        basis[k:k + r] = rows
-        tri[k:k + r, lo:k] = b[:r]
-        tri[lo:k, k:k + r] = b[:r].T
-        lo, k = k, k + r
+            basis = np.concatenate([basis, np.empty((cap - k, n), dtype=complex)])
+        beta.append(size)
+        basis[k] = w / size
+        k += 1
 
 
 def _gram_margin(realization: EnsembleRealization) -> float:
@@ -470,8 +462,7 @@ def _spectrum(realization: EnsembleRealization, h0: np.ndarray,
     H0 is certified now unless gram_margin is given, which only an H0 from
     build_coupling_matrix may claim, and only for reads below 1 - gram_margin.
     """
-    kz = K_A * realization.positions[:, 2]
-    lambda0, weights = _gauss_rule(h0, np.stack([np.cos(kz), np.sin(kz)]))
+    lambda0, weights = _gauss_rule(h0, np.exp(1j * K_A * realization.positions[:, 2]))
     lambda0_min = _positivity(h0) if gram_margin is None else None
     return RealizationSpectrum(realization=realization, lambda0=lambda0, weights=weights,
                                lambda0_min=lambda0_min, gram_margin=gram_margin)

@@ -398,7 +398,7 @@ class TestDipoleTrace:
         from subabsorb.analysis import fit_rise_time, trace_from_dipole
         cfg = EnsembleConfig(atom_count=1, box=(5.0, 5.0, 5.0))
         trace, _ = run_realization(cfg, seed=0, pulse=STEP)
-        fit = fit_rise_time(trace_from_dipole(trace, 0.1), sigma_ss_estimate=0.1)
+        fit = fit_rise_time(trace_from_dipole(trace, 0.1))
         assert fit.tau == pytest.approx(2.0, rel=1e-6)
 
     def test_starts_at_zero(self):
@@ -626,14 +626,45 @@ class TestLanczosReadout:
                                     rtol=1e-12)
 
     def test_drive_in_one_plane_starts_from_one_vector(self):
-        # every atom at the same z: sin kz is a multiple of cos kz, so the
-        # first Lanczos block has one direction
+        # every atom at the same z: b = e^{ikz} is one phase times a real
+        # vector, and cos kz and sin kz are parallel
         positions = np.array([[0.0, 0.0, 0.3], [0.4, 0.1, 0.3], [0.1, 0.5, 0.3]])
         realization = EnsembleRealization(positions=positions, min_pair_distance=0.4)
         h0 = build_coupling_matrix(realization)
         spectrum = _spectrum(realization, h0)
         assert len(spectrum.lambda0) == 3
         assert_same_readout(spectrum, eigh_reference(spectrum, "vectorial"), 1.0,
+                            rtol=1e-12)
+
+    def test_drive_in_an_invariant_subspace_stops_at_breakdown(self):
+        # H0 built so that b = e^{ikz} lies in a 3-dimensional invariant
+        # subspace: the Krylov space closes after 3 steps, well before k = N
+        n = 20
+        rng = np.random.default_rng(0)
+        positions = rng.uniform(0.0, 2.0, size=(n, 3))
+        pairs = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
+        realization = EnsembleRealization(
+            positions=positions, min_pair_distance=float(pairs[np.triu_indices(n, 1)].min()))
+        kz = 2.0 * math.pi * positions[:, 2]
+        drive = np.stack([np.cos(kz), np.sin(kz)], axis=1)
+        # eigenvectors: an orthonormal basis whose first 3 columns span cos kz,
+        # sin kz and one more direction, rotated so b weighs on all three;
+        # their eigenvalues are well apart, so the breakdown residual stays
+        # about 10x below the floor
+        q, _ = np.linalg.qr(np.column_stack([drive, rng.normal(size=(n, n - 2))]))
+        q[:, :3] = q[:, :3] @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        lam = np.concatenate([[0.3, 0.8, 1.4], rng.uniform(0.2, 1.5, size=n - 3)])
+        h0 = (q * lam) @ q.T
+        h0 = 0.5 * (h0 + h0.T)
+        spectrum = _spectrum(realization, h0)
+        assert len(spectrum.lambda0) == 3
+        values, vecs = np.linalg.eigh(h0)
+        weights = np.sum((vecs.T @ drive) ** 2, axis=1)
+        seen = weights > 1e-12 * n
+        assert np.count_nonzero(seen) == 3
+        np.testing.assert_allclose(spectrum.lambda0, values[seen], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(spectrum.weights, weights[seen], rtol=1e-10)
+        assert_same_readout(spectrum, replace(spectrum, lambda0=values, weights=weights), 1.0,
                             rtol=1e-12)
 
     def test_negative_mode_without_drive_weight_is_still_caught(self):

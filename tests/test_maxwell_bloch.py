@@ -156,7 +156,7 @@ class TestAnalyticWeakField:
         amp = np.abs(analytic_weak_field(t, 1.0, 0.87))
         sigma = -2.0 * np.log(amp)
         trace = OpticalDepthTrace(t_points=t, sigma=sigma, u_sigma=np.zeros_like(t))
-        fit = fit_rise_time(trace, sigma_ss_estimate=0.87)
+        fit = fit_rise_time(trace)
         assert fit.tau == pytest.approx(2.0, rel=1e-6)
 
 
