@@ -13,8 +13,8 @@ tau the two levels are the exact weighted least-squares solution in their
 boxes, and safeguarded Newton steps on that reduced cost move tau from its
 start at 2 tau_a, batched over rows.  Every fit goes through one core,
 which derives the estimates, boxes and start of each row: fit_rise_times
-fits a stack of traces (a sweep point's realizations) in one pass, and the
-thousands of Monte-Carlo refits run through it in blocks of MC_BLOCK rows.
+fits a stack of traces (every trace of a sweep) and the thousands of
+Monte-Carlo refits run through it, both in blocks of MC_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -35,28 +35,37 @@ TAIL_FRACTION = 0.125            # trailing part of the window used for the
                                  # steady-state estimate
 MAX_FAILURE_FRACTION = 0.01      # Monte-Carlo refits allowed to fail
 #: (block rows, window points) float64 arrays alive at once at the peak of a
-#: block of Monte-Carlo refits: the perturbed rows, their y w^2, the
-#: exponential and its two products, the copy made when converged rows are
-#: dropped and the residual of the rows that leave.  tracemalloc measures 6.7
-#: to 7.4 for blocks of MC_BLOCK rows (91 and 45 window points, 10^4 and
-#: 4 x 10^4 resamples)
+#: block of fitted rows: the rows, their y w^2, the exponential and its two
+#: products, the copy made when converged rows are dropped and the residual
+#: of the rows that leave.  tracemalloc measures 6.7 to 7.4 for blocks of
+#: MC_BLOCK Monte-Carlo refits (91 and 45 window points, 10^4 and 4 x 10^4
+#: resamples), and 7.5 for fit_rise_times on 1200 and 2048 collective
+#: traces (141 window points)
 MC_LIVE_ROW_ARRAYS = 8
-#: Monte-Carlo resamples drawn and refitted together.  Every block pays for
-#: its own slowest rows, so a smaller block runs slower; a larger one holds
-#: more memory
+#: rows fitted together: Monte-Carlo resamples drawn and refitted at once,
+#: and the traces of one fit_rise_times block (a sweep, or one z-grid batch
+#: of one).  Every block pays for its own slowest rows, so a smaller block
+#: runs slower; a larger one holds more memory
 MC_BLOCK = 2048
 
 
 class FitError(RuntimeError):
-    """Fit did not converge; carries the last residual vector."""
+    """Fit did not converge; carries the last residual vector and, from
+    fit_rise_times, the ``index`` of the first trace that failed."""
 
-    def __init__(self, message, residuals=None):
+    def __init__(self, message, residuals=None, index=None):
         super().__init__(message)
         self.residuals = residuals
+        self.index = index
 
 
 class DegenerateTraceError(ValueError):
-    """Transmission vanished (or worse) inside the analysis window."""
+    """Transmission vanished (or worse) inside the analysis window; from
+    fit_rise_times, ``index`` is the first trace that failed."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -293,7 +302,7 @@ def _fit_rows(t, y, u):
 
 
 def fit_rise_times(traces) -> list[RiseTimeFit]:
-    """Weighted exponential-rise fits of traces on one time grid, in one batch.
+    """Weighted exponential-rise fits of traces on one time grid, batched.
 
     Each trace is fitted on FIT_WINDOW as it would be alone.  Its
     steady-state estimate is the mean over the trailing eighth of the
@@ -301,33 +310,47 @@ def fit_rise_times(traces) -> list[RiseTimeFit]:
     residuals are weighted by 1/u_sigma^2 when every uncertainty in the
     trace's window is positive; a window of zero uncertainties (a model
     trace) is fitted with unit weights, and one that mixes zero and positive
-    uncertainties raises DomainError.  FitError is raised for the first
-    trace that does not converge.
+    uncertainties raises DomainError.  The traces are fitted MC_BLOCK at a
+    time, so the working memory stops growing with their number, and a
+    block whose traces all carry the same uncertainties holds one row of
+    weights.  The first trace that fails is named by the error's ``index``:
+    DegenerateTraceError if its window holds a value that is not finite,
+    FitError if its fit does not converge.  No traces give no fits.
     """
+    if not traces:
+        return []
     t = np.asarray(traces[0].t_points, dtype=float)
     if any(not np.array_equal(tr.t_points, t) for tr in traces[1:]):
         raise DomainError("fit_rise_times needs traces on one time grid")
     mask = (t >= FIT_WINDOW[0]) & (t <= FIT_WINDOW[1])
     tw = t[mask]
-    yw = np.stack([np.asarray(tr.sigma, dtype=float)[mask] for tr in traces])
-    if np.any(~np.isfinite(yw)):
-        raise DegenerateTraceError("undefined sigma inside the fit window")
-    uw = np.stack([np.asarray(tr.u_sigma, dtype=float)[mask] for tr in traces])
-    p, cost, iters, ok, w = _fit_rows(tw, yw, uw)
-    if not np.all(ok):
-        i = int(np.argmin(ok))
-        raise FitError(f"no convergence after {MAX_ITERATIONS} iterations",
-                       residuals=(p[i], cost[i]))
-    s_ss, s_init, tau = p[:, 0:1], p[:, 1:2], p[:, 2:3]
-    resid = s_ss - (s_ss - s_init) * np.exp(-(tw - FIT_WINDOW[0]) / tau) - yw
-    chi2 = np.sum((resid * w) ** 2, axis=1) / max(len(tw) - 3, 1)
-    rms = np.sqrt(np.mean(resid ** 2, axis=1))
-    saturated = (tau <= TAU_BOUNDS[0] * (1 + 1e-9)) | (tau >= TAU_BOUNDS[1] * (1 - 1e-9))
-    return [RiseTimeFit(tau=float(p[i, 2]), sigma_init=float(p[i, 1]),
-                        sigma_ss_fit=float(p[i, 0]), fit_window=FIT_WINDOW,
-                        residual_rms=float(rms[i]), reduced_chi_squared=float(chi2[i]),
-                        n_iterations=int(iters[i]), bound_saturated=bool(saturated[i, 0]))
-            for i in range(len(p))]
+    fits = []
+    for start in range(0, len(traces), MC_BLOCK):
+        block = traces[start:start + MC_BLOCK]
+        yw = np.stack([np.asarray(tr.sigma, dtype=float)[mask] for tr in block])
+        uw = np.stack([np.asarray(tr.u_sigma, dtype=float)[mask] for tr in block])
+        if (uw == uw[0]).all():
+            uw = uw[0]
+        # a row that is not finite comes back unconverged
+        p, cost, iters, ok, w = _fit_rows(tw, yw, uw)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if not np.isfinite(yw[i]).all():
+                raise DegenerateTraceError("undefined sigma inside the fit window",
+                                           index=start + i)
+            raise FitError(f"no convergence after {MAX_ITERATIONS} iterations",
+                           residuals=(p[i], cost[i]), index=start + i)
+        s_ss, s_init, tau = p[:, 0:1], p[:, 1:2], p[:, 2:3]
+        resid = s_ss - (s_ss - s_init) * np.exp(-(tw - FIT_WINDOW[0]) / tau) - yw
+        chi2 = np.sum((resid * w) ** 2, axis=1) / max(len(tw) - 3, 1)
+        rms = np.sqrt(np.mean(resid ** 2, axis=1))
+        saturated = (tau <= TAU_BOUNDS[0] * (1 + 1e-9)) | (tau >= TAU_BOUNDS[1] * (1 - 1e-9))
+        fits += [RiseTimeFit(tau=float(p[i, 2]), sigma_init=float(p[i, 1]),
+                             sigma_ss_fit=float(p[i, 0]), fit_window=FIT_WINDOW,
+                             residual_rms=float(rms[i]), reduced_chi_squared=float(chi2[i]),
+                             n_iterations=int(iters[i]), bound_saturated=bool(saturated[i, 0]))
+                 for i in range(len(p))]
+    return fits
 
 
 def fit_rise_time(trace: OpticalDepthTrace) -> RiseTimeFit:
@@ -425,13 +448,20 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     return float(np.std(taus[:kept], ddof=1))
 
 
-def monte_carlo_peak_bytes(trace: OpticalDepthTrace, resamples: int) -> int:
-    """Estimated peak memory of monte_carlo_uncertainty on this trace in
-    FIT_WINDOW, from the resample count and the number of window points
-    alone: one block's row arrays and the kept taus, 8 bytes per resample."""
-    t = np.asarray(trace.t_points, dtype=float)
+def fit_peak_bytes(t_points, rows: int) -> int:
+    """Estimated working memory of fitting ``rows`` traces on the time grid
+    t_points, from the row count and the number of FIT_WINDOW points alone:
+    the row arrays of one block of at most MC_BLOCK rows."""
+    t = np.asarray(t_points, dtype=float)
     points = int(np.count_nonzero((t >= FIT_WINDOW[0]) & (t <= FIT_WINDOW[1])))
-    return MC_LIVE_ROW_ARRAYS * 8 * min(resamples, MC_BLOCK) * points + 8 * resamples
+    return MC_LIVE_ROW_ARRAYS * 8 * min(rows, MC_BLOCK) * points
+
+
+def monte_carlo_peak_bytes(trace: OpticalDepthTrace, resamples: int) -> int:
+    """Estimated peak memory of monte_carlo_uncertainty on this trace: one
+    block's row arrays (fit_peak_bytes) and the kept taus, 8 bytes per
+    resample."""
+    return fit_peak_bytes(trace.t_points, resamples) + 8 * resamples
 
 
 def fit_with_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,

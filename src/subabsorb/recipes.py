@@ -40,10 +40,12 @@ BEST_BETA = 4.9e-5
 DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
 
 #: largest estimated peak memory (bytes) of a recipe; anything above it is
-#: refused at load.  Catalog recipes are estimated at 6 MiB or less and an
-#: N = 1500 collective sweep at 52 MiB, counting the two certificate arrays
-#: although a sweep that reads no point at S >= 1 - delta never holds them;
-#: 2 GiB admits N up to about 9400
+#: refused at load.  Catalog recipes are estimated at 15 MiB or less (the
+#: 1200 traces of fig7_beta and fig9_scalar_vs_vectorial, fitted in one
+#: block; every other recipe 6 MiB or less) and an N = 1500 collective
+#: sweep at 52 MiB, counting the two certificate arrays although a sweep
+#: that reads no point at S >= 1 - delta never holds them; 2 GiB admits N
+#: up to about 9400
 MEMORY_BUDGET = 2 * 1024**3
 #: N x N float64 arrays live at once in a collective realization: H0, and,
 #: only at a point that reads S >= 1 - delta (beta = 0), the input copy and
@@ -157,18 +159,27 @@ class ExperimentRecipe:
 def peak_bytes(recipe: ExperimentRecipe) -> int:
     """Estimated peak memory of running ``recipe``, from its sizes alone.
 
-    Collective: CD_LIVE_MATRICES N x N float64 arrays.  Maxwell-Bloch: the
-    largest batch of points sharing a z grid, each row holding its RK4
-    buffers on z_steps + 1 nodes, and at every time level its boundary
-    drive and its recorded planes (both ends, or every node with
-    ``dump_grid``).
+    Collective: the larger of the model pass, CD_LIVE_MATRICES N x N
+    float64 arrays, and the fit, which holds every realization's dipole
+    trace and its sigma and u_sigma, each point's mean and standard error
+    on T_POINTS, and one fit block (analysis.fit_peak_bytes).
+    Maxwell-Bloch: the largest batch of points sharing a z grid, each row
+    holding its recorded planes (both ends, or every node with
+    ``dump_grid``) and the larger of its RK4 buffers (z_steps + 1 nodes and
+    the boundary drive at every time level) and its share of the fit: two
+    intensities, sigma and u_sigma at every time level, and the fit block.
     """
     if recipe.model == "coupled_dipole":
-        return CD_LIVE_MATRICES * 8 * recipe.ensemble.atom_count**2
+        points = len(_cd_points(recipe))
+        rows = points * recipe.ensemble.realization_count
+        t = coupled_dipole.T_POINTS
+        return max(CD_LIVE_MATRICES * 8 * recipe.ensemble.atom_count**2,
+                   (3 * rows + 2 * points) * 8 * len(t) + analysis.fit_peak_bytes(t, rows))
     t_steps = round(maxwell_bloch.DEFAULT_STEPS_PER_TAU * maxwell_bloch.DEFAULT_T_MAX) + 1
-    return max(len(batch) * ((z + 1) * MB_NODE_BYTES
-                             + t_steps * ((z + 1 if recipe.dump_grid else 2) * MB_SAMPLE_BYTES
-                                          + MB_STEP_BYTES))
+    t = np.linspace(0.0, maxwell_bloch.DEFAULT_T_MAX, t_steps)
+    return max(len(batch) * t_steps * (z + 1 if recipe.dump_grid else 2) * MB_SAMPLE_BYTES
+               + max(len(batch) * ((z + 1) * MB_NODE_BYTES + t_steps * MB_STEP_BYTES),
+                     len(batch) * 4 * 8 * t_steps + analysis.fit_peak_bytes(t, len(batch)))
                for z, batch in _mb_batches(recipe).items())
 
 
@@ -340,17 +351,45 @@ def _mb_batches(recipe: ExperimentRecipe) -> dict[int, list[tuple[int, PulseShap
     return batches
 
 
+def _fit_points(traces, per_point: int, error):
+    """Fit the traces of consecutive points, ``per_point`` each, in one
+    fit_rise_times call.  Returns the fits of the points before the first
+    one that fails to fit, and the first failure in point order: that fit
+    failure, else ``error`` (what ended the model pass, or None).  Each fit
+    is that of its trace alone, so the refit of the points before a failure
+    gives their fits bit for bit."""
+    if not traces:
+        return [], error
+    try:
+        return analysis.fit_rise_times(traces), error
+    except FIT_ERRORS as exc:
+        return analysis.fit_rise_times(traces[:exc.index - exc.index % per_point]), exc
+
+
 def _mb_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
-    """Propagate each z-grid batch once, then fit, write and yield its points
-    in order.  Only a ``dump_grid`` recipe keeps and writes the full grids."""
+    """Propagate each z-grid batch once and fit its traces in one call, then
+    write and yield its points in order.  A failure ends the sweep after the
+    points before it: the first trace that cannot be built stops the batch's
+    model pass, and the points from the first one that fails to fit on are
+    dropped.  Only a ``dump_grid`` recipe keeps and writes the full grids."""
     species = recipe.species
     for batch in _mb_batches(recipe).values():
-        # the loop owns the grids, so they are freed before the next batch
-        for (index, pulse, sigma_ss), grid in zip(batch, maxwell_bloch.propagate_batch(
-                [pulse for _, pulse, _ in batch], [sigma_ss for _, _, sigma_ss in batch],
-                full_grid=recipe.dump_grid)):
-            trace = maxwell_bloch.transmission_from_grid(grid, pulse)
-            fit = analysis.fit_rise_time(analysis.optical_depth_trace(trace))
+        grids = maxwell_bloch.propagate_batch(
+            [pulse for _, pulse, _ in batch], [sigma_ss for _, _, sigma_ss in batch],
+            full_grid=recipe.dump_grid)
+        done, traces, error = [], [], None
+        for (index, pulse, sigma_ss), grid in zip(batch, grids):
+            try:
+                trace = maxwell_bloch.transmission_from_grid(grid, pulse)
+                traces.append(analysis.optical_depth_trace(trace))
+            except FIT_ERRORS + MODEL_ERRORS as exc:
+                error = exc
+                break
+            done.append((index, sigma_ss, trace, grid if recipe.dump_grid else None))
+        # the other grids are freed before the fit and the next batch
+        del grids, grid
+        fits, error = _fit_points(traces, 1, error)
+        for (index, sigma_ss, trace, grid), fit in zip(done, fits):
             _write_csv(os.path.join(run_dir, f"point_{index:02d}_trace.csv"),
                        ["t_ns", "I_input", "I_output"],
                        [species.time_to_ns(trace.t_points), trace.intensity_input,
@@ -363,49 +402,71 @@ def _mb_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
             yield SweepRow(swept_value=recipe.sweep_values[index], sigma_ss=sigma_ss,
                            tau_over_2tau_a=fit.tau / 2.0, tau_err_over_2tau_a=0.0,
                            seed=base_seed)
+        if error is not None:
+            raise error
 
 
-def _cd_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int, n_real: int):
-    """Run, fit, write and yield the collective points in order.
+def _cd_points(recipe: ExperimentRecipe):
+    """(swept value, cube side, beta, point index) of every collective point.
 
-    A point runs realizations seed .. seed+M-1 of a cube and its row holds
-    the mean fitted tau and its standard error.  A beta sweep runs the
-    optical-depth grid at every beta with seeds from the grid index only,
-    so all beta values see the same disorder realizations and the
-    suppression trend is not confounded by configuration noise; its points
-    write no traces.  ``spectra`` is shared by every point, so a geometry
-    seen again at another beta is sampled and read once.
-    """
-    ensemble, species = recipe.ensemble, recipe.species
+    A beta sweep runs the optical-depth grid at every beta with the point
+    index of the grid only, so all beta values see the same disorder
+    realizations and the suppression trend is not confounded by
+    configuration noise."""
+    ensemble = recipe.ensemble
 
     def side(sigma_ss):
         return box_side_for_sigma_ss(sigma_ss, ensemble.atom_count)
 
-    # (swept value, cube side, beta, point index)
     if recipe.swept_parameter == "beta":
-        points = [(beta, side(od), beta, k) for beta in recipe.sweep_values
-                  for k, od in enumerate(recipe.od_grid or DEFAULT_OD_GRID)]
-    else:
-        points = [(value, value if recipe.swept_parameter == "box_side" else side(value),
-                   ensemble.beta_over_2pi_hz_cm3, k)
-                  for k, value in enumerate(recipe.sweep_values)]
+        return [(beta, side(od), beta, k) for beta in recipe.sweep_values
+                for k, od in enumerate(recipe.od_grid or DEFAULT_OD_GRID)]
+    return [(value, value if recipe.swept_parameter == "box_side" else side(value),
+             ensemble.beta_over_2pi_hz_cm3, k)
+            for k, value in enumerate(recipe.sweep_values)]
+
+
+def _cd_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int, n_real: int):
+    """Run every collective point, fit all their traces in one call, then
+    write and yield the points in order.
+
+    A point runs realizations seed .. seed+M-1 of a cube and its row holds
+    the mean fitted tau and its standard error.  The seeds come from the
+    point index (see _cd_points); a beta sweep's points write no traces.
+    ``spectra`` is shared by every point, so a geometry seen again at
+    another beta is sampled and read once.  A failure ends the sweep after
+    the points before it: the first model error stops the model pass, and
+    the points from the first one that fails to fit on are dropped.
+    """
+    ensemble, species = recipe.ensemble, recipe.species
     spectra: dict = {}
-    for value, a, beta, k in points:
+    done, traces, error = [], [], None
+    for value, a, beta, k in _cd_points(recipe):
         config = replace(ensemble, box=(a, a, a), rng_seed=base_seed + k * n_real,
                          realization_count=n_real, beta_over_2pi_hz_cm3=beta)
         sigma_ss = optical_depth_from_geometry(config)
-        result = coupled_dipole.run_ensemble(config, species=species, pulse=recipe.pulse,
-                                             mode=recipe.mode, spectra=spectra)
-        fits = analysis.fit_rise_times([analysis.trace_from_dipole(tr, sigma_ss)
-                                        for tr in result.traces])
-        taus = np.asarray([fit.tau for fit in fits])
+        try:
+            result = coupled_dipole.run_ensemble(config, species=species, pulse=recipe.pulse,
+                                                 mode=recipe.mode, spectra=spectra)
+            traces += [analysis.trace_from_dipole(tr, sigma_ss) for tr in result.traces]
+        except MODEL_ERRORS as exc:
+            error = exc
+            break
+        # a beta sweep keeps only the traces it fits
+        done.append((value, k, config, sigma_ss,
+                     None if recipe.swept_parameter == "beta" else result))
+    fits, error = _fit_points(traces, n_real, error)
+    for (value, k, config, sigma_ss, result), start in zip(done, range(0, len(fits), n_real)):
+        taus = np.asarray([fit.tau for fit in fits[start:start + n_real]])
         err = taus.std(ddof=1) / math.sqrt(len(taus)) if len(taus) > 1 else 0.0
-        if recipe.swept_parameter != "beta":
+        if result is not None:
             _write_cd_traces(os.path.join(run_dir, f"point_{k:02d}"), result,
                             sigma_ss, config.gamma_dd(species), species)
         yield SweepRow(swept_value=value, sigma_ss=sigma_ss,
                        tau_over_2tau_a=float(taus.mean() / 2.0),
                        tau_err_over_2tau_a=float(err / 2.0), seed=config.rng_seed)
+    if error is not None:
+        raise error
 
 
 def _write_cd_traces(prefix, result, sigma_ss, gamma_dd, species):
@@ -428,12 +489,14 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     """Execute every sweep point, fit rise-times, write CSV + JSON outputs,
     and return the rows.
 
-    The model's row generator (_mb_rows or _cd_rows) runs the points one
-    after another and writes each point's traces before yielding its row,
-    so a rerun with the same seeds is byte-identical.  A fit, model or
-    write failure (SWEEP_ERRORS) ends the sweep: sweep.csv holds the rows
-    completed before it, and sweep_meta.json is marked incomplete with an
-    ``error`` record.  Fit failures are then re-raised as FitError, the
+    The model's row generator (_mb_rows or _cd_rows) runs its points, fits
+    their traces in one call (per z-grid batch for Maxwell-Bloch), then
+    writes each point's traces before yielding its row, so a rerun with the
+    same seeds is byte-identical.  A fit, model or write failure
+    (SWEEP_ERRORS) ends the sweep: sweep.csv holds the rows of the points
+    before the first failure in point order, no later point writes a file,
+    and sweep_meta.json is marked incomplete with an ``error`` record
+    naming that failure.  Fit failures are then re-raised as FitError, the
     others as their own type; an OSError keeps its errno and filename.
     When sweep.csv or sweep_meta.json cannot be written either, that
     OSError is raised instead.

@@ -175,11 +175,59 @@ class TestFitRiseTimes:
         monkeypatch.setattr(analysis, "_fit_batch", two_fail)
         with pytest.raises(FitError) as info:
             fit_rise_times(traces)
-        # the error carries row 1's parameters, the first unconverged row
+        # the error carries row 1's index and parameters, the first unconverged row
+        assert info.value.index == 1
         p_first, _ = info.value.residuals
         monkeypatch.setattr(analysis, "_fit_batch", original)
         fit = fit_rise_time(traces[1])
         assert (p_first == [fit.sigma_ss_fit, fit.sigma_init, fit.tau]).all()
+
+    def test_first_undefined_trace_is_named(self):
+        t = np.linspace(0, 8, 201)
+        traces = [make_trace(t, exponential_truth(t, s)) for s in (0.1, 0.2, 0.3, 0.4)]
+        traces[2].sigma[100] = np.nan
+        with pytest.raises(DegenerateTraceError) as info:
+            fit_rise_times(traces)
+        assert info.value.index == 2
+
+    def test_no_traces_give_no_fits(self):
+        assert fit_rise_times([]) == []
+
+    def test_blocks_of_rows_equal_single_trace_fits(self, monkeypatch):
+        # 7 traces in blocks of 3 rows: 3 kernel calls, and every fit is
+        # that of its trace alone
+        t = np.linspace(0, 8, 201)
+        traces = [make_trace(t, exponential_truth(t, 0.1 * (k + 1), tau=1.0 + 0.3 * k))
+                  for k in range(7)]
+        calls = []
+        original = analysis._fit_batch
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "MC_BLOCK", 3)
+        monkeypatch.setattr(analysis, "_fit_batch", counting)
+        fits = fit_rise_times(traces)
+        assert len(calls) == 3
+        monkeypatch.setattr(analysis, "_fit_batch", original)
+        assert fits == [fit_rise_time(trace) for trace in traces]
+
+    def test_peak_memory_stops_growing_past_one_block(self, monkeypatch):
+        # past one block, each further trace holds only its fit record
+        monkeypatch.setattr(analysis, "MC_BLOCK", 100)
+        t = np.linspace(0, 8, 161)
+        traces = [make_trace(t, exponential_truth(t, tau=1.5 + 0.003 * k)) for k in range(400)]
+        fit_rise_times(traces[:2])
+        peaks = {}
+        for n in (100, 400):
+            tracemalloc.start()
+            try:
+                fit_rise_times(traces[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] - peaks[100] <= 300 * 1024
 
     def test_traces_on_different_grids_rejected(self):
         a = np.linspace(0, 8, 201)

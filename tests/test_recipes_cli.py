@@ -54,6 +54,38 @@ def counting_certificates(monkeypatch):
     return sizes
 
 
+def failing_fit_row(monkeypatch, row):
+    """Make row ``row`` of every rise-time fit batch that has one fail to
+    converge; a batch of fewer rows fits as before."""
+    original = analysis._fit_batch
+
+    def failing(*args, **kwargs):
+        p, cost, iters, ok = original(*args, **kwargs)
+        ok[row:row + 1] = False
+        return p, cost, iters, ok
+
+    monkeypatch.setattr(analysis, "_fit_batch", failing)
+
+
+def counting_fit_calls(monkeypatch):
+    """Record the number of traces of every analysis.fit_rise_times call."""
+    traces_per_call = []
+    original = analysis.fit_rise_times
+
+    def counting(traces):
+        traces_per_call.append(len(traces))
+        return original(traces)
+
+    monkeypatch.setattr(analysis, "fit_rise_times", counting)
+    return traces_per_call
+
+
+def point_prefixes(run_dir):
+    """The point_XX prefixes of the regular files in run_dir."""
+    return sorted({p.name[:8] for p in run_dir.iterdir()
+                   if p.is_file() and p.name.startswith("point_")})
+
+
 def write_rise_csv(path, u_sigma):
     """A noiseless 60-point sigma(t) rise over [0, 8] tau_a, with these uncertainties."""
     t_ns = np.linspace(0, 8 * 26.2, 60)
@@ -306,6 +338,21 @@ class TestRunRecipe:
             assert read_bytes(tmp_path / "mb3" / f"point_{k:02d}_trace.csv") == \
                 read_bytes(tmp_path / f"one{k}" / "point_00_trace.csv")
 
+    def test_one_fit_call_per_sweep_or_z_grid_batch(self, tmp_path, monkeypatch):
+        traces_per_call = counting_fit_calls(monkeypatch)
+        recipe = ExperimentRecipe(
+            name="beta2", model="coupled_dipole", swept_parameter="beta",
+            sweep_values=(0.0, 9e-5), od_grid=(0.1, 0.4), pulse=STEP,
+            ensemble=EnsembleConfig(atom_count=50, rng_seed=5, realization_count=2))
+        assert len(run_recipe(recipe, tmp_path)) == 4
+        assert traces_per_call == [8]            # 2 beta x 2 depths x 2 realizations
+        traces_per_call.clear()
+        # sigma_ss 2.6 needs 52 z steps, the others the default 50
+        mb = ExperimentRecipe(name="mb3", model="maxwell_bloch",
+                              swept_parameter="sigma_ss", sweep_values=(0.4, 1.0, 2.6))
+        assert len(run_recipe(mb, tmp_path)) == 3
+        assert traces_per_call == [2, 1]
+
     def test_provenance_records_versions(self, tmp_path):
         run_recipe(tiny_cd_recipe(sweep_values=(14.0,)), tmp_path, realizations=1)
         meta = json.loads((tmp_path / "tiny_cd" / "sweep_meta.json").read_text())
@@ -325,7 +372,7 @@ class TestRunRecipe:
         assert not (tmp_path / "runs").exists()
 
     def test_cd_point_taus_match_per_trace_fits(self, tmp_path):
-        # one fit_rise_times call per point gives the taus of fitting each
+        # one fit_rise_times call per sweep gives the taus of fitting each
         # realization on its own
         ensemble = EnsembleConfig(atom_count=100, box=(4.0, 4.0, 4.0), rng_seed=21,
                                   realization_count=6)
@@ -534,16 +581,9 @@ class TestCli:
         assert meta["error"]["type"] == "DensityTooHighError"
 
     def test_mb_fit_error_exit_code_keeps_completed_rows(self, tmp_path, monkeypatch):
-        original = analysis.fit_rise_time
-        calls = []
-
-        def failing_second(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
-                raise analysis.FitError("no convergence")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "fit_rise_time", failing_second)
+        # both points share a z grid, so they are fitted in one batch, whose
+        # second trace does not converge
+        failing_fit_row(monkeypatch, 1)
         cfg = {"name": "mb_fail", "model": "maxwell_bloch",
                "swept_parameter": "sigma_ss", "sweep_values": [0.1, 0.5]}
         path = tmp_path / "fail.json"
@@ -558,6 +598,48 @@ class TestCli:
         meta = json.loads((run_dir / "sweep_meta.json").read_text())
         assert meta["complete"] is False
         assert meta["error"]["type"] == "FitError"
+
+    def cd_box_config(self, tmp_path, sweep_values):
+        cfg = {"name": "cd_boxes", "model": "coupled_dipole",
+               "swept_parameter": "box_side", "sweep_values": sweep_values,
+               "pulse": {"kind": "step"},
+               "ensemble": {"atom_count": 40, "rng_seed": 3, "realization_count": 2}}
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps(cfg))
+        return ["run", str(path), "--out", str(tmp_path / "runs")]
+
+    def test_cd_fit_error_exit_code_keeps_completed_points(self, tmp_path, monkeypatch):
+        # 3 points x 2 realizations in one fit batch; row 3 is point 1's second
+        failing_fit_row(monkeypatch, 3)
+        assert cli.main(self.cd_box_config(tmp_path, [14.0, 10.0, 8.0])) == cli.EXIT_FIT
+        run_dir = tmp_path / "runs" / "cd_boxes"
+        rows = (run_dir / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("14,")
+        assert point_prefixes(run_dir) == ["point_00"]
+        assert (run_dir / "point_00_aggregate.csv").is_file()
+        assert (run_dir / "point_00_real_01.json").is_file()
+        meta = json.loads((run_dir / "sweep_meta.json").read_text())
+        assert meta["complete"] is False
+        assert meta["error"]["type"] == "FitError"
+
+    def test_fit_error_before_a_model_error_is_recorded(self, tmp_path, monkeypatch):
+        # point 1 fails to fit and point 2 cannot hold 40 atoms 0.05 lambda
+        # apart: the first failure in point order ends the sweep
+        failing_fit_row(monkeypatch, 2)
+        assert cli.main(self.cd_box_config(tmp_path, [14.0, 10.0, 0.06])) == cli.EXIT_FIT
+        run_dir = tmp_path / "runs" / "cd_boxes"
+        assert len((run_dir / "sweep.csv").read_text().splitlines()) == 2
+        assert point_prefixes(run_dir) == ["point_00"]
+        meta = json.loads((run_dir / "sweep_meta.json").read_text())
+        assert meta["error"]["type"] == "FitError"
+
+    def test_failing_first_point_makes_no_fit_call(self, tmp_path, monkeypatch):
+        traces_per_call = counting_fit_calls(monkeypatch)
+        assert cli.main(self.cd_box_config(tmp_path, [0.06, 14.0])) == cli.EXIT_MODEL
+        assert traces_per_call == []
+        run_dir = tmp_path / "runs" / "cd_boxes"
+        assert len((run_dir / "sweep.csv").read_text().splitlines()) == 1
+        assert point_prefixes(run_dir) == []
 
     def test_strong_drive_exit_code(self, tmp_path):
         # 20 atoms at 0.05 Gamma_a: sum |c_j|^2 ~ 4 N Omega^2 = 0.2 > NORM_BUDGET
@@ -841,3 +923,71 @@ class TestLoadRecipe:
         path.write_text(json.dumps(cfg))
         recipe = load_recipe(path)
         assert len(run_recipe(recipe, tmp_path / "out")) == 2
+
+
+def _negative_spectrum_below(monkeypatch, side):
+    """Cubes smaller than ``side`` read as if Cholesky failed on H0 and its
+    exact smallest eigenvalue were below zero."""
+    original = coupled_dipole.realization_spectrum
+
+    def uncertified(config, *args, **kwargs):
+        spectrum = original(config, *args, **kwargs)
+        return replace(spectrum, lambda0_min=-1e-3) if config.box[0] < side else spectrum
+
+    monkeypatch.setattr(coupled_dipole, "realization_spectrum", uncertified)
+
+
+def _blocked_second_trace(monkeypatch, run_dir):
+    # a directory where the second point's trace goes
+    (run_dir / "point_01_trace.csv").mkdir(parents=True)
+
+
+CD_BOXES = {"model": "coupled_dipole", "swept_parameter": "box_side",
+            "sweep_values": [14.0, 10.0, 8.0], "pulse": {"kind": "step"},
+            "ensemble": {"atom_count": 40, "rng_seed": 3, "realization_count": 2}}
+MB_DEPTHS = {"model": "maxwell_bloch", "swept_parameter": "sigma_ss",
+             "sweep_values": [0.1, 0.3, 0.5]}
+
+
+class TestFailureMatrix:
+    """One row per documented sweep failure, through cli.main: its exit code,
+    one stderr line, and what is left on disk."""
+
+    @pytest.mark.parametrize("fields, setup, code, prefix, error, finished", [
+        (CD_BOXES, lambda mp, d: failing_fit_row(mp, 2),
+         cli.EXIT_FIT, "fit error: ", "FitError", 1),
+        (MB_DEPTHS, lambda mp, d: failing_fit_row(mp, 1),
+         cli.EXIT_FIT, "fit error: ", "FitError", 1),
+        ({**CD_BOXES, "sweep_values": [14.0, 10.0, 0.06]}, None,
+         cli.EXIT_MODEL, "model error: ", "DensityTooHighError", 2),
+        ({**CD_BOXES, "pulse": {"kind": "step", "rabi_peak_rad_per_s": 0.05 / 26.2e-9}},
+         None, cli.EXIT_MODEL, "model error: ", "PerturbativeBoundError", 0),
+        (CD_BOXES, lambda mp, d: _negative_spectrum_below(mp, 12.0),
+         cli.EXIT_MODEL, "model error: ", "DomainError", 1),
+        (MB_DEPTHS, _blocked_second_trace,
+         cli.EXIT_OUTPUT, "output error: ", "IsADirectoryError", 1),
+        ({**MB_DEPTHS, "sweep_values": [0.3, 0.1, 0.5]}, None,
+         cli.EXIT_CONFIG, "config error: ", None, None),
+    ], ids=["cd-fit", "mb-fit", "density", "perturbative", "non-positive-spectrum",
+            "point-write", "config"])
+    def test_sweep_failure(self, tmp_path, monkeypatch, capsys, fields, setup, code,
+                           prefix, error, finished):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"name": "failing", **fields}))
+        run_dir = tmp_path / "runs" / "failing"
+        if setup is not None:
+            setup(monkeypatch, run_dir)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+        if error is None:
+            assert not (tmp_path / "runs").exists()
+            return
+        meta = json.loads((run_dir / "sweep_meta.json").read_text())
+        assert meta["complete"] is False
+        assert meta["error"]["type"] == error
+        assert meta["error"]["message"]
+        rows = (run_dir / "sweep.csv").read_text().splitlines()
+        values = fields["sweep_values"]
+        assert [float(row.split(",")[0]) for row in rows[1:]] == values[:finished]
+        assert point_prefixes(run_dir) == [f"point_{k:02d}" for k in range(finished)]
