@@ -66,8 +66,10 @@ class TransmissionTrace:
 class _StateViews(NamedTuple):
     """Views of one (rho00, rho11, rho01) x row x z buffer that the RK4
     stages read or write: the three planes, the real parts of the
-    populations, and rho01 over the flattened rows shifted by one node
-    each way (for the trapezoid sums of the field march)."""
+    populations over the flattened rows (a one-dimensional view takes
+    numpy's trivial loop, a strided two-dimensional one its iterator), and
+    rho01 over the flattened rows shifted by one node each way (for the
+    trapezoid sums of the field march)."""
 
     r00: np.ndarray
     r11: np.ndarray
@@ -79,8 +81,8 @@ class _StateViews(NamedTuple):
 
     @classmethod
     def of(cls, state):
-        flat = state[2].reshape(-1)
-        return cls(*state, state[0].real, state[1].real, flat[1:], flat[:-1])
+        r00, r11, r01 = (plane.reshape(-1) for plane in state)
+        return cls(*state, r00.real, r11.real, r01[1:], r01[:-1])
 
 
 def default_z_steps(sigma_ss: float) -> int:
@@ -117,12 +119,25 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
     that transmission_from_grid reads.  A depth is the optical depth sigma_ss,
     one per pulse; an empty or unpaired batch raises DomainError.
 
-    The time loop creates no arrays: each RK4 stage writes its field and
-    derivative into buffers made once per call, through views also made
-    once, since at these sizes numpy's per-call overhead, not arithmetic,
-    bounds the loop.  The floating-point operations and their order are
-    those of the whole-array RK4 expressions (y + h2*k1, ...,
-    y + h6*(k1 + 2*k2 + 2*k3 + k4)), so the grids carry the same bits.  The
+    The time loop allocates nothing.  At these sizes (rows x (z_steps + 1)
+    nodes) numpy's fixed cost per call, not arithmetic, bounds the loop, so
+    each of its about 70 calls per step is made at numpy's per-call floor:
+    outputs are passed positionally; every elementwise operand is
+    contiguous or one-dimensional, which numpy runs in its trivial loop
+    rather than its general iterator (so the boundary drive is spread along
+    z by two copies per step, not broadcast in four field marches); every
+    scalar operand (dt/2, dt, dt/6, 2, 0.5j and dz/2) is a 0-d complex128
+    array made once; and each stage writes into buffers, through views,
+    made once per call.  numpy converts a Python scalar operand of a
+    complex array to exactly that complex128 value on every call, so the
+    0-d operands spare the conversion and move no bit.  k1..k4 share one
+    buffer, so that 2*k2 and 2*k3 take one multiply, and the state shares
+    one with the field, so that a time level is recorded by two copies:
+    rho01 and the field into one complex array, the populations into one
+    real array, whose C-contiguous [z, t] planes the grids view.
+    The floating-point operations and their order are those of the
+    whole-array RK4 expressions (y + h2*k1, ..., y + h6*(k1 + 2*k2 + 2*k3
+    + k4)) of tests/reference.py, so the grids carry the same bits.  The
     populations are held complex with a zero imaginary part.
     """
     pulses = list(pulses)
@@ -150,9 +165,12 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
     t = np.linspace(0.0, t_max, n_t + 1)
     dt = t[1] - t[0]
     nz = z_steps + 1
-    half_dz = 0.5 * (1.0 / z_steps)         # zeta = z/L
     rows = len(sigmas)
     recorded = slice(None) if full_grid else slice(None, None, z_steps)
+    # zeta = z/L, so dz = 1/z_steps
+    h1, h2, h6, two, half_j, half_dz = (
+        np.array(v, dtype=complex)
+        for v in (dt, 0.5 * dt, dt / 6.0, 2, 0.5j, 0.5 * (1.0 / z_steps)))
 
     # per-row constants, spread along z so that every product is elementwise
     neg_damp = np.repeat([[-(0.5 + 1j * p.detuning)] for p in pulses], nz, axis=1)
@@ -171,84 +189,97 @@ def propagate_batch(pulses, depths, t_max: float = DEFAULT_T_MAX,
     pairs_read = pairs[:, :-1]
     integ = np.zeros((rows, nz), dtype=complex)
     integ_tail = integ[:, 1:]
-    om = np.empty((rows, nz), dtype=complex)        # the field of the stage
     scratch = np.empty((rows, nz), dtype=complex)
-    cross = scratch.imag                            # Im(om conj(rho01)), a view
-    k1, k2, k3, k4 = (np.empty((3, rows, nz), dtype=complex) for _ in range(4))
-    for d in (k1, k2, k3, k4):
-        d[:2].imag = 0.0                            # populations stay real
-    y = np.zeros((3, rows, nz), dtype=complex)      # (rho00, rho11, rho01) x row x z
-    y[0] = 1.0
+    cross = scratch.reshape(-1).imag                # Im(om conj(rho01)), a view
+    ks = np.empty((4, 3, rows, nz), dtype=complex)  # k1..k4
+    ks[:, :2].imag = 0.0                            # populations stay real
+    k1, k2, k3, k4 = ks
+    k23 = ks[1:3]
+    # (rho00, rho11, rho01) x row x z, then the field of the stage
+    state = np.zeros((4, rows, nz), dtype=complex)
+    state[0] = 1.0
+    y, om = state[:3], state[3]
     ys = np.empty_like(y)                           # the state of a stage
+    # the boundary drive at the midpoint and at t_{k+1}, spread along z once
+    # per step for the two field marches that read each: a march that
+    # broadcast it would take numpy's iterator and fill a buffer
+    mid_z = np.empty((rows, nz), dtype=complex)
+    next_z = np.empty((rows, nz), dtype=complex)
+
+    # local names spare each of the loop's calls a global and an attribute
+    # lookup, a few percent of a step
+    add, multiply, subtract, negative, conjugate = (
+        np.add, np.multiply, np.subtract, np.negative, np.conjugate)
+    accumulate, copyto = np.add.accumulate, np.copyto
 
     def field_profile(v, bnd):
         # dOmega/dzeta = -i*(sigma_ss/2)*rho01, marched by cumulative trapezoid
-        np.add(v.r01_next, v.r01_prev, out=pairs_flat)
-        np.multiply(pairs_flat, half_dz, out=pairs_flat)
-        np.add.accumulate(pairs_read, axis=1, out=integ_tail)
-        np.multiply(i_half_alpha, integ, out=scratch)
-        np.subtract(bnd, scratch, out=om)
+        add(v.r01_next, v.r01_prev, pairs_flat)
+        multiply(pairs_flat, half_dz, pairs_flat)
+        accumulate(pairs_read, 1, None, integ_tail)
+        multiply(i_half_alpha, integ, scratch)
+        subtract(bnd, scratch, om)
 
     def deriv(v, d):
         # d rho11 = -rho11 + Im(om conj(rho01)), the cross term
         # 0.5j*(om rho01* - om* rho01) bit for bit; d rho00 = -d rho11
-        np.multiply(om, np.conj(v.r01, out=scratch), out=scratch)
-        np.subtract(cross, v.r11_re, out=d.r11_re)
-        np.negative(d.r11_re, out=d.r00_re)
+        conjugate(v.r01, scratch)
+        multiply(om, scratch, scratch)
+        subtract(cross, v.r11_re, d.r11_re)
+        negative(d.r11_re, d.r00_re)
         # d rho01 = -(1/2 + i detuning) rho01 + (0.5j om) (rho11 - rho00)
-        np.subtract(v.r11, v.r00, out=d.r01)
-        np.multiply(0.5j, om, out=scratch)
-        np.multiply(scratch, d.r01, out=scratch)
-        np.multiply(neg_damp, v.r01, out=d.r01)
-        np.add(d.r01, scratch, out=d.r01)
+        subtract(v.r11, v.r00, d.r01)
+        multiply(half_j, om, scratch)
+        multiply(scratch, d.r01, scratch)
+        multiply(neg_damp, v.r01, d.r01)
+        add(d.r01, scratch, d.r01)
 
     def stage(h, k):
         # the stage state y + h*k
-        np.multiply(h, k, out=ys)
-        np.add(y, ys, out=ys)
+        multiply(h, k, ys)
+        add(y, ys, ys)
 
-    zeta = np.linspace(0.0, 1.0, nz)[recorded]
-    rabi = np.empty((rows, len(zeta), n_t + 1), dtype=complex)
-    pop = np.empty((2, rows, len(zeta), n_t + 1))       # rho00, rho11
-    coh = np.empty((rows, len(zeta), n_t + 1), dtype=complex)
+    zeta = np.ascontiguousarray(np.linspace(0.0, 1.0, nz)[recorded])
+    # the time levels of (rho01, field) and of (rho00, rho11), [plane, row, z, t]
+    coh_rabi = np.empty((2, rows, len(zeta), n_t + 1), dtype=complex)
+    pop = np.empty((2, rows, len(zeta), n_t + 1))
+    coh_rabi_t, pop_t = np.moveaxis(coh_rabi, -1, 0), np.moveaxis(pop, -1, 0)
 
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
     # views are made once: the buffers they look into are updated in place
     y_v, ys_v, k1_v, k2_v, k3_v, k4_v = map(_StateViews.of, (y, ys, k1, k2, k3, k4))
-    om_rec, pop_rec, coh_rec = om[:, recorded], y[:2, :, recorded].real, y[2, :, recorded]
-    field_profile(y_v, boundary[0])
-    rabi[..., 0] = om_rec
-    pop[..., 0] = pop_rec
-    coh[..., 0] = coh_rec
-    for k in range(n_t):
-        bm, bnd_next = bnd_mid[k], boundary[k + 1]
+    coh_rabi_rec, pop_rec = state[2:, :, recorded], state[:2, :, recorded].real
+    copyto(next_z, boundary[0])
+    field_profile(y_v, next_z)
+    copyto(coh_rabi_t[0], coh_rabi_rec)
+    copyto(pop_t[0], pop_rec)
+    for bm, bnd_next, coh_rabi_k, pop_k in zip(bnd_mid, boundary[1:], coh_rabi_t[1:],
+                                               pop_t[1:]):
+        copyto(mid_z, bm)
+        copyto(next_z, bnd_next)
         deriv(y_v, k1_v)
         stage(h2, k1)
-        field_profile(ys_v, bm)
+        field_profile(ys_v, mid_z)
         deriv(ys_v, k2_v)
         stage(h2, k2)
-        field_profile(ys_v, bm)
+        field_profile(ys_v, mid_z)
         deriv(ys_v, k3_v)
-        stage(dt, k3)
-        field_profile(ys_v, bnd_next)
+        stage(h1, k3)
+        field_profile(ys_v, next_z)
         deriv(ys_v, k4_v)
         # y + h6*(k1 + 2*k2 + 2*k3 + k4), summed in that order into k1
-        np.multiply(2, k2, out=k2)
-        np.add(k1, k2, out=k1)
-        np.multiply(2, k3, out=k3)
-        np.add(k1, k3, out=k1)
-        np.add(k1, k4, out=k1)
-        np.multiply(h6, k1, out=k1)
-        np.add(y, k1, out=y)
+        multiply(two, k23, k23)
+        add(k1, k2, k1)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        multiply(h6, k1, k1)
+        add(y, k1, y)
         # the field at t_{k+1} is also the next step's first-stage field
-        field_profile(y_v, bnd_next)
-        rabi[..., k + 1] = om_rec
-        pop[..., k + 1] = pop_rec
-        coh[..., k + 1] = coh_rec
+        field_profile(y_v, next_z)
+        copyto(coh_rabi_k, coh_rabi_rec)
+        copyto(pop_k, pop_rec)
 
-    return [FieldGrid(z_points=zeta, t_points=t, rabi=rabi[b],
-                      rho00=pop[0, b], rho11=pop[1, b], rho01=coh[b], sigma_ss=sigma_ss)
+    return [FieldGrid(z_points=zeta, t_points=t, rabi=coh_rabi[1, b], rho00=pop[0, b],
+                      rho11=pop[1, b], rho01=coh_rabi[0, b], sigma_ss=sigma_ss)
             for b, sigma_ss in enumerate(sigmas)]
 
 

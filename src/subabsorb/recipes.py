@@ -51,11 +51,13 @@ MEMORY_BUDGET = 2 * 1024**3
 #: only at a point that reads S >= 1 - delta (beta = 0), the input copy and
 #: the factor of its Cholesky certificate.  An upper bound for every recipe
 CD_LIVE_MATRICES = 3
-#: Maxwell-Bloch bytes per z node and batch row: the RK4 state, the stage
-#: state, k1..k4 (6 x 48), six complex z buffers (96) and numpy's buffer for
-#: the boundary drive broadcast along z (16)
-MB_NODE_BYTES = 400
-#: per recorded (z, t) sample and row: the field, rho01 and two populations
+#: Maxwell-Bloch bytes per z node and batch row: the RK4 state with the
+#: field (64), the stage state (48), k1..k4 (192) and seven complex z
+#: buffers (112: the trapezoid pairs and sums, a scratch plane, two per-row
+#: constants, and the boundary drive at the midpoint and at t_{k+1})
+MB_NODE_BYTES = 416
+#: per recorded (z, t) sample and row: rho01 and the field (complex, 32)
+#: and the two populations (real, 16)
 MB_SAMPLE_BYTES = 48
 #: per time level and row: the complex boundary drive at t_k and at the RK4
 #: midpoints (32), with room for the shared time axis (8) and the loop's
@@ -499,14 +501,20 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     naming that failure.  Fit failures are then re-raised as FitError, the
     others as their own type; an OSError keeps its errno and filename.
     When sweep.csv or sweep_meta.json cannot be written either, that
-    OSError is raised instead.
+    OSError is raised instead.  ``realizations`` overrides the recipe's
+    realization count, and a recipe whose override exceeds MEMORY_BUDGET
+    is refused with ConfigError before anything is written.
     """
     base_seed = recipe.ensemble.rng_seed if seed is None else int(seed)
-    n_real = recipe.ensemble.realization_count if realizations is None else int(realizations)
-    if n_real < 1:
-        raise ConfigError("realizations must be >= 1")
     if base_seed < 0:
         raise ConfigError("seed must be >= 0")
+    if realizations is not None:
+        if int(realizations) < 1:
+            raise ConfigError("realizations must be >= 1")
+        # rebuilt, so that the memory budget is checked for the override
+        recipe = replace(recipe, ensemble=replace(recipe.ensemble,
+                                                  realization_count=int(realizations)))
+    n_real = recipe.ensemble.realization_count
     run_dir = os.path.join(str(out_dir), recipe.name)
     os.makedirs(run_dir, exist_ok=True)
 

@@ -2,14 +2,15 @@
 
 They are not part of the package because no run calls them: the direct
 RK4 integration of the amplitude equations, the plane-wave drive vector it
-is driven by, and the first-order weak-field closed form of the
-propagation model.
+is driven by, the first-order weak-field closed form of the propagation
+model, and that model's RK4 time loop written as whole-array expressions.
 """
 
 import numpy as np
 
 from subabsorb.core import DomainError
 from subabsorb.coupled_dipole import K_A
+from subabsorb.maxwell_bloch import DEFAULT_STEPS_PER_TAU, DEFAULT_T_MAX, default_z_steps
 
 
 def drive_vector(positions, amplitude: float) -> np.ndarray:
@@ -77,3 +78,58 @@ def analytic_weak_field(t, z_over_length, sigma_ss: float, detuning: float = 0.0
     t = np.asarray(t, dtype=float)
     exponent = -(sigma_ss * z_over_length / 2.0) * (1.0 - np.exp(-t / 2.0))
     return np.exp(exponent)
+
+
+def whole_array_rk4_batch(pulses, depths, t_max=DEFAULT_T_MAX,
+                          steps_per_tau=DEFAULT_STEPS_PER_TAU, z_steps=None,
+                          full_grid=False):
+    """The Maxwell-Bloch time loop of propagate_batch as whole-array
+    expressions: every stage allocates its field (a cumsum trapezoid of
+    rho01 from the boundary drive), derivative and stage state, and the
+    step is y + h6*(k1 + 2*k2 + 2*k3 + k4).  The cross term is
+    0.5j*(om rho01* - om* rho01) and every scalar a Python number.  Returns
+    (rabi, rho00, rho11, rho01), each indexed [row, z, t]."""
+    sigmas = [float(d) for d in depths]
+    if z_steps is None:
+        z_steps = default_z_steps(sigmas[0])
+    n_t = int(round(steps_per_tau * t_max))
+    t = np.linspace(0.0, t_max, n_t + 1)
+    dt = t[1] - t[0]
+    half_dz = 0.5 * (1.0 / z_steps)
+    recorded = slice(None) if full_grid else slice(None, None, z_steps)
+    neg_damp = np.array([[-(0.5 + 1j * p.detuning)] for p in pulses])
+    i_half_alpha = np.array([[1j * (0.5 * s)] for s in sigmas])
+    boundary = np.stack([p.envelope(t) for p in pulses], axis=1)[:, :, None] + 0j
+    bnd_mid = np.stack([p.envelope(t[:-1] + 0.5 * dt) for p in pulses],
+                       axis=1)[:, :, None] + 0j
+
+    def field_profile(r01, bnd):
+        integ = np.zeros(r01.shape, dtype=complex)
+        integ[:, 1:] = np.cumsum((r01[:, 1:] + r01[:, :-1]) * half_dz, axis=1)
+        return bnd - i_half_alpha * integ
+
+    def deriv(y, om):
+        r00, r11, r01 = y
+        cross = 0.5j * (om * np.conj(r01) - np.conj(om) * r01)
+        return np.stack([r11 + cross, -r11 - cross,
+                         neg_damp * r01 + 0.5j * om * (r11 - r00)])
+
+    y = np.zeros((3, len(sigmas), z_steps + 1), dtype=complex)
+    y[0] = 1.0
+    om = field_profile(y[2], boundary[0])
+    rabi, states = [om[:, recorded]], [y[:, :, recorded]]
+    h2, h6 = 0.5 * dt, dt / 6.0
+    for k in range(n_t):
+        k1 = deriv(y, om)
+        y2 = y + h2 * k1
+        k2 = deriv(y2, field_profile(y2[2], bnd_mid[k]))
+        y3 = y + h2 * k2
+        k3 = deriv(y3, field_profile(y3[2], bnd_mid[k]))
+        y4 = y + dt * k3
+        k4 = deriv(y4, field_profile(y4[2], boundary[k + 1]))
+        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        om = field_profile(y[2], boundary[k + 1])
+        rabi.append(om[:, recorded])
+        states.append(y[:, :, recorded])
+    states = np.stack(states, axis=-1)
+    return np.stack(rabi, axis=-1), states[0].real, states[1].real, states[2]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from subabsorb.core import DomainError, PulseShape
-from subabsorb.maxwell_bloch import (ResolutionError, default_z_steps, propagate_batch,
-                                     propagate_pulse, simulate_transmission)
+from subabsorb.maxwell_bloch import (ResolutionError, propagate_batch, propagate_pulse,
+                                     simulate_transmission)
 
-from reference import analytic_weak_field
+from reference import analytic_weak_field, whole_array_rk4_batch
 
 
 def exact_step_output(t, sigma_ss, detuning=0.0, n_terms=60):
@@ -36,6 +36,26 @@ def exact_step_output(t, sigma_ss, detuning=0.0, n_terms=60):
     return out
 
 
+#: the dtype of every array of a FieldGrid
+GRID_DTYPES = {"z_points": np.float64, "t_points": np.float64, "rabi": np.complex128,
+               "rho00": np.float64, "rho11": np.float64, "rho01": np.complex128}
+
+
+def assert_same_bytes(got, want, name):
+    # unlike np.array_equal, the bytes tell -0.0 from +0.0
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def assert_grid_layout(grid):
+    # the header np.lib.format.write_array writes, and so the bytes of a
+    # grid dump, depends on each array's dtype and memory order
+    for name, dtype in GRID_DTYPES.items():
+        array = getattr(grid, name)
+        assert array.dtype == dtype, name
+        assert array.flags.c_contiguous, name
+
+
 def bloch(pulse, t_max):
     """Single-atom Bloch solution for a step drive, from a propagation through
     zero optical depth: every z node sees the boundary drive.  Arrays are
@@ -43,59 +63,6 @@ def bloch(pulse, t_max):
     grid = propagate_batch([pulse], [0.0], t_max=t_max, full_grid=True)[0]
     assert grid.t_points[1] == pytest.approx(0.005, rel=1e-12)
     return grid.t_points, grid.rho00, grid.rho11, grid.rho01
-
-
-def expression_form_batch(pulses, depths, t_max=8.0, steps_per_tau=200, z_steps=None,
-                          full_grid=False):
-    """Reference copy of the Maxwell-Bloch time loop written as whole-array
-    expressions: every stage allocates its derivative, stage state and
-    field, and the cross term is 0.5j*(om rho01* - om* rho01).  Returns
-    (rabi, rho00, rho11, rho01), each indexed [row, z, t]."""
-    sigmas = [float(d) for d in depths]
-    if z_steps is None:
-        z_steps = default_z_steps(sigmas[0])
-    n_t = int(round(steps_per_tau * t_max))
-    t = np.linspace(0.0, t_max, n_t + 1)
-    dt = t[1] - t[0]
-    nz = z_steps + 1
-    half_dz = 0.5 * (1.0 / z_steps)
-    recorded = slice(None) if full_grid else slice(None, None, z_steps)
-    neg_damp = np.array([[-(0.5 + 1j * p.detuning)] for p in pulses])
-    i_half_alpha = np.array([[1j * (0.5 * s)] for s in sigmas])
-    boundary = np.stack([p.envelope(t) for p in pulses], axis=1)[:, :, None] + 0j
-    bnd_mid = np.stack([p.envelope(t[:-1] + 0.5 * dt) for p in pulses],
-                       axis=1)[:, :, None] + 0j
-
-    def field_profile(r01, bnd):
-        integ = np.zeros(r01.shape, dtype=complex)
-        integ[:, 1:] = np.cumsum((r01[:, 1:] + r01[:, :-1]) * half_dz, axis=1)
-        return bnd - i_half_alpha * integ
-
-    def deriv(y, om):
-        r00, r11, r01 = y
-        cross = 0.5j * (om * np.conj(r01) - np.conj(om) * r01)
-        return np.stack([r11 + cross, -r11 - cross,
-                         neg_damp * r01 + 0.5j * om * (r11 - r00)])
-
-    y = np.zeros((3, len(sigmas), nz), dtype=complex)
-    y[0] = 1.0
-    om = field_profile(y[2], boundary[0])
-    rabi, states = [om[:, recorded]], [y[:, :, recorded]]
-    h2, h6 = 0.5 * dt, dt / 6.0
-    for k in range(n_t):
-        k1 = deriv(y, om)
-        y2 = y + h2 * k1
-        k2 = deriv(y2, field_profile(y2[2], bnd_mid[k]))
-        y3 = y + h2 * k2
-        k3 = deriv(y3, field_profile(y3[2], bnd_mid[k]))
-        y4 = y + dt * k3
-        k4 = deriv(y4, field_profile(y4[2], boundary[k + 1]))
-        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        om = field_profile(y[2], boundary[k + 1])
-        rabi.append(om[:, recorded])
-        states.append(y[:, :, recorded])
-    states = np.stack(states, axis=-1)
-    return np.stack(rabi, axis=-1), states[0].real, states[1].real, states[2]
 
 
 class TestDensityMatrix:
@@ -235,12 +202,12 @@ class TestBatch:
         assert len(grids) == len(pulses)
         for pulse, depth, grid in zip(pulses, depths, grids):
             alone = propagate_pulse(pulse, depth)
+            assert_grid_layout(grid)
+            assert_grid_layout(alone)
             assert grid.sigma_ss == alone.sigma_ss
-            assert np.array_equal(grid.t_points, alone.t_points)
-            assert np.array_equal(grid.z_points, alone.z_points[[0, -1]])
-            for name in ("rabi", "rho00", "rho11", "rho01"):
-                assert np.array_equal(getattr(grid, name),
-                                      getattr(alone, name)[[0, -1]]), name
+            assert_same_bytes(grid.t_points, alone.t_points, "t_points")
+            for name in ("z_points", "rabi", "rho00", "rho11", "rho01"):
+                assert_same_bytes(getattr(grid, name), getattr(alone, name)[[0, -1]], name)
 
     def test_mixed_optical_depths(self):
         depths = [0.024, 0.3, 1.11, 2.5]
@@ -255,8 +222,9 @@ class TestBatch:
         pulses = [PulseShape(detuning=0.5), PulseShape()]
         grid = propagate_batch(pulses, [0.2, 0.9], full_grid=True)[1]
         alone = propagate_pulse(PulseShape(), 0.9)
+        assert_grid_layout(grid)
         for name in ("z_points", "rabi", "rho00", "rho11", "rho01"):
-            assert np.array_equal(getattr(grid, name), getattr(alone, name)), name
+            assert_same_bytes(getattr(grid, name), getattr(alone, name), name)
 
     def test_rows_on_different_z_grids_rejected(self):
         # default_z_steps is 50 up to sigma_ss = 2.5 and 60 at 3.0
@@ -289,11 +257,11 @@ class TestBatch:
         # the buffered loop makes the same floating-point operations in the
         # same order as the whole-array expressions, so no bit may move
         grids = propagate_batch(pulses, depths, **kwargs)
-        reference = expression_form_batch(pulses, depths, **kwargs)
+        reference = whole_array_rk4_batch(pulses, depths, **kwargs)
+        for grid in grids:
+            assert_grid_layout(grid)
         for name, ref in zip(("rabi", "rho00", "rho11", "rho01"), reference):
-            got = np.stack([getattr(grid, name) for grid in grids])
-            assert got.dtype == ref.dtype, name
-            assert np.array_equal(got, ref), name
+            assert_same_bytes(np.stack([getattr(grid, name) for grid in grids]), ref, name)
 
 
 class TestTransmission:

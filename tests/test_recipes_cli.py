@@ -949,35 +949,45 @@ MB_DEPTHS = {"model": "maxwell_bloch", "swept_parameter": "sigma_ss",
              "sweep_values": [0.1, 0.3, 0.5]}
 
 
+def _model_must_not_run(monkeypatch, run_dir):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model ran")
+
+    monkeypatch.setattr(coupled_dipole, "run_ensemble", refuse)
+
+
 class TestFailureMatrix:
     """One row per documented sweep failure, through cli.main: its exit code,
     one stderr line, and what is left on disk."""
 
-    @pytest.mark.parametrize("fields, setup, code, prefix, error, finished", [
-        (CD_BOXES, lambda mp, d: failing_fit_row(mp, 2),
+    @pytest.mark.parametrize("fields, argv, setup, code, prefix, error, finished", [
+        (CD_BOXES, [], lambda mp, d: failing_fit_row(mp, 2),
          cli.EXIT_FIT, "fit error: ", "FitError", 1),
-        (MB_DEPTHS, lambda mp, d: failing_fit_row(mp, 1),
+        (MB_DEPTHS, [], lambda mp, d: failing_fit_row(mp, 1),
          cli.EXIT_FIT, "fit error: ", "FitError", 1),
-        ({**CD_BOXES, "sweep_values": [14.0, 10.0, 0.06]}, None,
+        ({**CD_BOXES, "sweep_values": [14.0, 10.0, 0.06]}, [], None,
          cli.EXIT_MODEL, "model error: ", "DensityTooHighError", 2),
         ({**CD_BOXES, "pulse": {"kind": "step", "rabi_peak_rad_per_s": 0.05 / 26.2e-9}},
-         None, cli.EXIT_MODEL, "model error: ", "PerturbativeBoundError", 0),
-        (CD_BOXES, lambda mp, d: _negative_spectrum_below(mp, 12.0),
+         [], None, cli.EXIT_MODEL, "model error: ", "PerturbativeBoundError", 0),
+        (CD_BOXES, [], lambda mp, d: _negative_spectrum_below(mp, 12.0),
          cli.EXIT_MODEL, "model error: ", "DomainError", 1),
-        (MB_DEPTHS, _blocked_second_trace,
+        (MB_DEPTHS, [], _blocked_second_trace,
          cli.EXIT_OUTPUT, "output error: ", "IsADirectoryError", 1),
-        ({**MB_DEPTHS, "sweep_values": [0.3, 0.1, 0.5]}, None,
+        ({**MB_DEPTHS, "sweep_values": [0.3, 0.1, 0.5]}, [], None,
+         cli.EXIT_CONFIG, "config error: ", None, None),
+        # 3 points x 10^6 realizations would hold about 10.8 GiB of traces
+        (CD_BOXES, ["--realizations", "1000000"], _model_must_not_run,
          cli.EXIT_CONFIG, "config error: ", None, None),
     ], ids=["cd-fit", "mb-fit", "density", "perturbative", "non-positive-spectrum",
-            "point-write", "config"])
-    def test_sweep_failure(self, tmp_path, monkeypatch, capsys, fields, setup, code,
+            "point-write", "config", "realizations-over-budget"])
+    def test_sweep_failure(self, tmp_path, monkeypatch, capsys, fields, argv, setup, code,
                            prefix, error, finished):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"name": "failing", **fields}))
         run_dir = tmp_path / "runs" / "failing"
         if setup is not None:
             setup(monkeypatch, run_dir)
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs")]) == code
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "runs"), *argv]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
         if error is None:
