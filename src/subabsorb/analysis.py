@@ -90,6 +90,7 @@ class RiseTimeFit:
     tau_uncertainty: float | None = None
     n_iterations: int = 0
     bound_saturated: bool = False
+    level_saturated: bool = False
 
 
 def optical_depth_trace(trace: TransmissionTrace) -> OpticalDepthTrace:
@@ -288,7 +289,8 @@ def _fit_rows(t, y, u):
     """Fit every row of y (B, T) on the FIT_WINDOW samples t (T,), weighted
     by u, (T,) or (B, T).  The tail mean is taken from a C-contiguous copy, so
     each row's estimate is bitwise the 1-D ``np.mean`` of its tail.
-    Returns _fit_batch's (params, cost, iterations, converged) and the weights.
+    Returns _fit_batch's (params, cost, iterations, converged), the weights
+    and the (B, 3) boxes lo and hi.
     """
     if t.size < 10:
         raise DomainError("need at least 10 samples inside the fit window")
@@ -298,7 +300,7 @@ def _fit_rows(t, y, u):
     sss_est = np.ascontiguousarray(y[:, tail]).mean(axis=1)
     lo, hi = _boxes(sss_est, y[:, 0], b)
     p0 = np.stack([sss_est, y[:, 0], np.full(b, TAU_INITIAL)], axis=1)
-    return _fit_batch(t, y, w, p0, lo, hi, t0=FIT_WINDOW[0]) + (w,)
+    return _fit_batch(t, y, w, p0, lo, hi, t0=FIT_WINDOW[0]) + (w, lo, hi)
 
 
 def fit_rise_times(traces) -> list[RiseTimeFit]:
@@ -316,6 +318,9 @@ def fit_rise_times(traces) -> list[RiseTimeFit]:
     weights.  The first trace that fails is named by the error's ``index``:
     DegenerateTraceError if its window holds a value that is not finite,
     FitError if its fit does not converge.  No traces give no fits.
+    ``bound_saturated`` flags a tau that ended on a bound of TAU_BOUNDS, and
+    ``level_saturated`` a level that ended on an edge of its box, both within
+    1e-9 relative: such a value is a bound, not a measurement.
     """
     if not traces:
         return []
@@ -332,7 +337,7 @@ def fit_rise_times(traces) -> list[RiseTimeFit]:
         if (uw == uw[0]).all():
             uw = uw[0]
         # a row that is not finite comes back unconverged
-        p, cost, iters, ok, w = _fit_rows(tw, yw, uw)
+        p, cost, iters, ok, w, lo, hi = _fit_rows(tw, yw, uw)
         if not ok.all():
             i = int(np.argmin(ok))
             if not np.isfinite(yw[i]).all():
@@ -344,11 +349,12 @@ def fit_rise_times(traces) -> list[RiseTimeFit]:
         resid = s_ss - (s_ss - s_init) * np.exp(-(tw - FIT_WINDOW[0]) / tau) - yw
         chi2 = np.sum((resid * w) ** 2, axis=1) / max(len(tw) - 3, 1)
         rms = np.sqrt(np.mean(resid ** 2, axis=1))
-        saturated = (tau <= TAU_BOUNDS[0] * (1 + 1e-9)) | (tau >= TAU_BOUNDS[1] * (1 - 1e-9))
+        on_edge = (p <= lo + 1e-9 * np.abs(lo)) | (p >= hi - 1e-9 * np.abs(hi))
         fits += [RiseTimeFit(tau=float(p[i, 2]), sigma_init=float(p[i, 1]),
                              sigma_ss_fit=float(p[i, 0]), fit_window=FIT_WINDOW,
                              residual_rms=float(rms[i]), reduced_chi_squared=float(chi2[i]),
-                             n_iterations=int(iters[i]), bound_saturated=bool(saturated[i, 0]))
+                             n_iterations=int(iters[i]), bound_saturated=bool(on_edge[i, 2]),
+                             level_saturated=bool(on_edge[i, :2].any()))
                  for i in range(len(p))]
     return fits
 
@@ -436,7 +442,7 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
         pert = rng.standard_normal((min(MC_BLOCK, resamples - start), len(uw)))
         pert *= uw
         pert += yw
-        p, cost, _, ok, _ = _fit_rows(tw, pert, uw)
+        p, cost, _, ok = _fit_rows(tw, pert, uw)[:4]
         ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
         good = p[ok, 2]
         taus[kept:kept + good.size] = good

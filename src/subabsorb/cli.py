@@ -149,6 +149,7 @@ def cmd_fit(args) -> int:
         "chi2_reduced": fit.reduced_chi_squared,
         "n_iterations": fit.n_iterations,
         "bound_saturated": fit.bound_saturated,
+        "level_saturated": fit.level_saturated,
         "window": [w * species.excited_lifetime_ns for w in fit.fit_window],
         "seed": args.seed,
     }

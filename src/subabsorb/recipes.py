@@ -16,7 +16,6 @@ import json
 import math
 import os
 import subprocess
-import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -319,22 +318,10 @@ def _write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         if first is None:
             return
-        line = ",".join("{}" if isinstance(v, (int, np.integer)) else "{:.12g}"
+        line = ",".join("%s" if isinstance(v, (int, np.integer)) else "%.12g"
                         for v in first) + "\n"
-        fh.write(line.format(*first))
-        fh.writelines(line.format(*row) for row in rows)
-
-
-def _write_npz(path, arrays):
-    """``arrays`` as the .npy entries np.savez_compressed writes, deflated
-    at zlib level 1: about half the CPU of its default level for the same
-    size.  Entries carry zipfile's fixed 1980 timestamp, so a rerun writes
-    the same bytes."""
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED,
-                         allowZip64=True, compresslevel=1) as archive:
-        for name, value in arrays.items():
-            with archive.open(name + ".npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(value))
+        fh.write(line % first)
+        fh.writelines(line % row for row in rows)
 
 
 def _mb_batches(recipe: ExperimentRecipe) -> dict[int, list[tuple[int, PulseShape, float]]]:
@@ -397,10 +384,10 @@ def _mb_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
                        [species.time_to_ns(trace.t_points), trace.intensity_input,
                         trace.intensity_output])
             if recipe.dump_grid:
-                _write_npz(os.path.join(run_dir, f"point_{index:02d}_grid.npz"), dict(
-                    z_points=grid.z_points, t_ns=species.time_to_ns(grid.t_points),
-                    rabi=grid.rabi, rho00=grid.rho00, rho11=grid.rho11, rho01=grid.rho01,
-                    sigma_ss=grid.sigma_ss))
+                np.savez(os.path.join(run_dir, f"point_{index:02d}_grid.npz"),
+                         z_points=grid.z_points, t_ns=species.time_to_ns(grid.t_points),
+                         rabi=grid.rabi, rho00=grid.rho00, rho11=grid.rho11,
+                         rho01=grid.rho01, sigma_ss=grid.sigma_ss)
             yield SweepRow(swept_value=recipe.sweep_values[index], sigma_ss=sigma_ss,
                            tau_over_2tau_a=fit.tau / 2.0, tau_err_over_2tau_a=0.0,
                            seed=base_seed)

@@ -137,6 +137,17 @@ class TestFit:
         fit = fit_rise_time(make_trace(t, sigma))
         assert fit.bound_saturated
 
+    @pytest.mark.parametrize("points, tau, saturated",
+                             [(1601, 3.0, True), (801, 50.0, True), (1601, 2.0, False)])
+    def test_level_saturation_flagged(self, points, tau, saturated):
+        # a full rise that has not settled by the window's end has a tail
+        # mean more than 5% low: its steady state pins to the box's upper
+        # edge and its tau comes out low (2.64 and 4.09 here), not on a bound
+        t = np.linspace(0, 8, points)
+        fit = fit_rise_time(make_trace(t, exponential_truth(t, 0.5, tau)))
+        assert fit.level_saturated is saturated
+        assert not fit.bound_saturated
+
     def test_nan_in_window_rejected(self):
         t = np.linspace(0, 8, 801)
         sigma = exponential_truth(t)
@@ -473,7 +484,7 @@ class TestMonteCarloUncertainty:
         inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
         t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
         noise = np.random.default_rng(13).standard_normal((resamples, len(t)))
-        p, cost, _, ok, _ = _fit_rows(t, noise * u + y, u)
+        p, cost, _, ok = _fit_rows(t, noise * u + y, u)[:4]
         ok &= np.isfinite(cost) & np.all(np.isfinite(p), axis=1)
         assert monte_carlo_uncertainty(trace, resamples=resamples, seed=13) == \
             np.std(p[ok, 2], ddof=1)
@@ -526,10 +537,10 @@ class TestMonteCarloUncertainty:
         t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
         n = 200
         pert = y + np.random.default_rng(11).normal(size=(n, len(t))) * u
-        p, cost, iters, ok, _ = _fit_rows(t, pert, u)
+        p, cost, iters, ok = _fit_rows(t, pert, u)[:4]
         assert iters.min() < iters.max()
         for i in range(n):
-            p1, cost1, iters1, ok1, _ = _fit_rows(t, pert[i:i + 1], u)
+            p1, cost1, iters1, ok1 = _fit_rows(t, pert[i:i + 1], u)[:4]
             assert (p1[0] == p[i]).all()
             assert cost1[0] == cost[i]
             assert iters1[0] == iters[i]
