@@ -5,11 +5,15 @@
     subabsorb fit <trace.csv> [--lifetime-ns T] [--resamples N] [--seed S]
                   [--out FILE]
 
-Exit codes: 0 success, 2 fit failure, 3 config error, 4 model error (a
-drive above the perturbative budget, an infeasible packing density, a
-coupling spectrum that is not positive or a value outside the model's
-domain, such as a fit window that mixes zero and positive uncertainties),
-5 output error (an output file that cannot be written).  A sweep that
+Exit codes: 0 success, 2 fit failure, 3 config error (found at load,
+before any output: a malformed config, an unknown key, a value outside its
+domain, such as a zero Rabi frequency, or a collective point whose cube is
+at or below the pair exclusion or provably too small for its atoms), 4
+model error (a drive above the perturbative budget, a packing that
+rejection sampling cannot fill, a coupling spectrum whose Cholesky
+certificate fails or a value outside the model's domain, such as a fit
+window that mixes zero and positive uncertainties), 5 output error (an
+output file that cannot be written).  A sweep that
 fails still writes its completed rows and a sweep_meta.json with
 complete=false and the error, where the run directory still takes them.
 The SUBABSORB_OUT environment variable overrides the default output

@@ -135,7 +135,8 @@ class EnsembleConfig:
     Geometry is a uniform rectangular box with sides in lambda_a units.
     ``atom_count == 0`` is accepted so the empty-ensemble limit of the
     optical-depth map is well defined; the samplers and solvers require
-    at least one atom.
+    at least one atom.  A packing that provably cannot hold the atoms at
+    their pair exclusion is refused here, before any sampling.
     """
 
     atom_count: int = 500
@@ -151,9 +152,18 @@ class EnsembleConfig:
         if len(self.box) != 3 or any(a <= 0 for a in self.box):
             raise DomainError("box sides must be three strictly positive lengths")
         if self.min_pair_separation >= min(self.box):
-            raise DomainError("min_pair_separation must be smaller than the box")
+            raise DomainError(f"min_pair_separation {self.min_pair_separation:g} must be "
+                              f"smaller than the box {self.box}")
         if self.min_pair_separation < 0:
             raise DomainError("min_pair_separation must be >= 0")
+        # balls of radius r_min/2 around the atoms are disjoint and lie inside
+        # the box grown by r_min/2 on every side: more volume than that is
+        # provably impossible, whatever the rejection sampler would do
+        r_min = self.min_pair_separation
+        if (self.atom_count * (math.pi / 6.0) * r_min**3
+                > math.prod(a + r_min for a in self.box)):
+            raise DomainError(f"{self.atom_count} atoms with pair exclusion {r_min:g} "
+                              f"cannot fit in box {self.box}")
         if self.beta_over_2pi_hz_cm3 < 0:
             raise DomainError("dephasing coefficient must be >= 0")
         if self.realization_count < 1:
@@ -213,6 +223,7 @@ def box_side_for_sigma_ss(sigma_ss: float, atom_count: int) -> float:
 # config file parsing (SI units at the boundary; see docs/config_schema.json)
 
 def species_from_dict(d: dict) -> AtomicSpecies:
+    d = _section(d, "species", ("excited_lifetime_ns", "wavelength_nm"))
     return AtomicSpecies(
         excited_lifetime_ns=_number(d, "excited_lifetime_ns", 26.2),
         wavelength_nm=_number(d, "wavelength_nm", 780.0),
@@ -220,6 +231,8 @@ def species_from_dict(d: dict) -> AtomicSpecies:
 
 
 def pulse_from_dict(d: dict, species: AtomicSpecies) -> PulseShape:
+    d = _section(d, "pulse", ("kind", "rabi_peak_rad_per_s", "detuning_rad_per_s",
+                              "rise_10_90_ns"))
     gamma = species.decay_rate_rad_per_s
     kind = d.get("kind", "smooth_ramp")
     amp = _number(d, "rabi_peak_rad_per_s", 1e-3 * gamma) / gamma
@@ -229,18 +242,30 @@ def pulse_from_dict(d: dict, species: AtomicSpecies) -> PulseShape:
 
 
 def ensemble_from_dict(d: dict, species: AtomicSpecies) -> EnsembleConfig:
+    """The ensemble section; its box keeps the default, because each
+    collective point's cube comes from the sweep."""
+    d = _section(d, "ensemble", ("atom_count", "beta_over_2pi_hz_cm3",
+                                 "min_pair_separation_um", "rng_seed", "realization_count"))
     lam_um = species.wavelength_um
-    box_um = _numbers(d, "box_side_um", [50 * lam_um] * 3)
-    if len(box_um) != 3:
-        raise ConfigError("box_side_um must be a list of three lengths in um")
     return EnsembleConfig(
         atom_count=_integer(d, "atom_count", 500),
-        box=tuple(a / lam_um for a in box_um),
         beta_over_2pi_hz_cm3=_number(d, "beta_over_2pi_hz_cm3", 0.0),
         min_pair_separation=_number(d, "min_pair_separation_um", 0.05 * lam_um) / lam_um,
         rng_seed=_integer(d, "rng_seed", 1),
         realization_count=_integer(d, "realization_count", 10),
     )
+
+
+def _section(d, name: str, keys: tuple[str, ...]) -> dict:
+    """``d``, checked to be a JSON object that holds only ``keys``: a
+    misspelt key would otherwise be ignored, and a different experiment
+    run.  Anything else raises ConfigError naming the section and key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {d!r}")
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+    return d
 
 
 def _integer(d: dict, key: str, default: int) -> int:

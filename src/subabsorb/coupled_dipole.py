@@ -32,8 +32,8 @@ Phys. Rev. A 2, 883 (1970)), so H(S) = (1 - S)/2 I + S H0 has no eigenvalue
 below (1 - S)/2, less the rounding of the assembly.  That rounding is
 bounded by half the realization's Gram margin delta (_gram_margin), so a
 point that reads S < 1 - delta needs no certificate.  Only a point at
-S >= 1 - delta asks for one: a Cholesky factorization of H0, or the exact
-smallest eigenvalue where it fails (_positivity).
+S >= 1 - delta asks for one: a Cholesky factorization of H0, whose failure
+raises DomainError (_certify).
 """
 
 from __future__ import annotations
@@ -132,20 +132,14 @@ def sample_positions(config: EnsembleConfig, seed: int) -> EnsembleRealization:
     rng.uniform call (the same stream as one draw per candidate).  Each
     block is tested against all accepted atoms at once; survivors that
     clash with an earlier accepted candidate of their own block are then
-    dropped in draw order.  A packing that exceeds the volume bound fails at
-    once; more than MAX_REJECTIONS consecutive rejections (counted in draw
-    order) abort.
+    dropped in draw order.  A packing beyond the volume bound never gets
+    here (EnsembleConfig refuses it); more than MAX_REJECTIONS consecutive
+    rejections (counted in draw order) abort.
     """
     n = config.atom_count
     if n < 1:
         raise DomainError("sampling requires at least one atom")
     r_min = config.min_pair_separation
-    # balls of radius r_min/2 around the atoms are disjoint and lie inside
-    # the box grown by r_min/2 on every side: more volume than that is
-    # provably impossible, whatever the rejection loop would do
-    if n * (math.pi / 6.0) * r_min**3 > math.prod(a + r_min for a in config.box):
-        raise DensityTooHighError(
-            f"{n} atoms with pair exclusion {r_min:g} cannot fit in box {config.box}")
     rng = np.random.default_rng(seed)
     box = np.asarray(config.box)
     r_min2 = r_min**2
@@ -317,20 +311,18 @@ class RealizationSpectrum:
 
     Ritz values lie inside [lambda_min, lambda_max] of H0, so a positive
     smallest node does not prove H0 positive.  Positivity is settled in one
-    of three ways:
-    - gram_margin is delta and lambda0_min None: the certificate has not
-      run; the Gram structure of H0 proves every H(S) with S < 1 - delta
-      positive, and a read at S >= 1 - delta needs the certificate first;
-    - both None: a Cholesky factorization of H0 succeeded, which proves
-      every H(S) with S <= 1 positive;
-    - lambda0_min set (gram_margin None): Cholesky failed, and lambda0_min
-      is the exact smallest eigenvalue of H0.
+    of two ways:
+    - gram_margin is delta: the certificate has not run; the Gram structure
+      of H0 proves every H(S) with S < 1 - delta positive, and a read at
+      S >= 1 - delta needs the certificate first;
+    - gram_margin is None: a Cholesky factorization of H0 succeeded, which
+      proves every H(S) with S <= 1 positive.  An H0 whose factorization
+      fails has no spectrum: _certify raises DomainError.
     """
 
     realization: EnsembleRealization
     lambda0: np.ndarray
     weights: np.ndarray
-    lambda0_min: float | None
     gram_margin: float | None
 
     def uncertified_at(self, suppression: float) -> bool:
@@ -445,14 +437,14 @@ def _gram_margin(realization: EnsembleRealization) -> float:
             * (1.0 + near * near))
 
 
-def _positivity(h0: np.ndarray) -> float | None:
-    """None when Cholesky proves H0 positive definite, else its exact
-    smallest eigenvalue."""
+def _certify(h0: np.ndarray) -> None:
+    """Prove H0 positive definite by a Cholesky factorization; raise
+    DomainError when it fails."""
     try:
         np.linalg.cholesky(h0)
-    except np.linalg.LinAlgError:
-        return float(np.linalg.eigvalsh(h0)[0])
-    return None
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("coupling spectrum is not positive: the Cholesky "
+                          "factorization of H0 failed") from exc
 
 
 def _spectrum(realization: EnsembleRealization, h0: np.ndarray,
@@ -463,9 +455,10 @@ def _spectrum(realization: EnsembleRealization, h0: np.ndarray,
     build_coupling_matrix may claim, and only for reads below 1 - gram_margin.
     """
     lambda0, weights = _gauss_rule(h0, np.exp(1j * K_A * realization.positions[:, 2]))
-    lambda0_min = _positivity(h0) if gram_margin is None else None
+    if gram_margin is None:
+        _certify(h0)
     return RealizationSpectrum(realization=realization, lambda0=lambda0, weights=weights,
-                               lambda0_min=lambda0_min, gram_margin=gram_margin)
+                               gram_margin=gram_margin)
 
 
 def realization_spectrum(config: EnsembleConfig, seed: int, mode: str = "vectorial",
@@ -490,28 +483,20 @@ def spectral_trace(spectrum: RealizationSpectrum, suppression: float,
     With phi_j(t) = (1 - e^{-lambda_j t})/lambda_j and
     lambda = 1/2 + S*(lambda0 - 1/2):
     raw P(t) = Omega0 |sum_j w_j phi_j(t)|, steady state Omega0 |sum_j w_j/lambda_j|
-    and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  A spectrum that is not
-    positive has no steady state and raises DomainError.  Below
-    S = 1 - gram_margin positivity comes from the Gram structure of H0;
-    above it from the Cholesky certificate, or, where that failed, from the
-    smallest eigenvalue at S: the mapped lambda0_min (the map is
-    increasing, so it takes the minimum to the minimum).  Reading an
-    uncertified spectrum above 1 - gram_margin raises ValueError.
+    and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  Below
+    S = 1 - gram_margin positivity comes from the Gram structure of H0,
+    above it from the Cholesky certificate; reading an uncertified spectrum
+    above 1 - gram_margin raises ValueError.  A node that is not positive
+    has no steady state and raises DomainError.
     """
     if spectrum.uncertified_at(suppression):
         raise ValueError(f"S = {suppression!r} needs the positivity certificate, which "
                          "this spectrum has not run")
-
-    def at_s(lam0):
-        # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
-        return lam0 if suppression == 1.0 else 0.5 + suppression * (lam0 - 0.5)
-
-    lam = at_s(spectrum.lambda0)
-    lowest = lam[0]
-    if spectrum.lambda0_min is not None:
-        lowest = min(lowest, at_s(spectrum.lambda0_min))
-    if not lowest > 0:
-        raise DomainError(f"coupling spectrum is not positive: lambda_min = {lowest:.3g}")
+    # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
+    lam = (spectrum.lambda0 if suppression == 1.0
+           else 0.5 + suppression * (spectrum.lambda0 - 0.5))
+    if not lam[0] > 0:
+        raise DomainError(f"coupling spectrum is not positive: smallest node {lam[0]:.3g}")
     amp = abs(amplitude)
     p, c2, inverse = _readout(lam, spectrum.weights)
     peak = float(np.max(amp**2 * c2))
@@ -549,8 +534,8 @@ def run_realization(config: EnsembleConfig, seed: int,
     if spectrum is None:
         spectrum = realization_spectrum(config, seed, mode=mode, suppression=suppression)
     elif spectrum.uncertified_at(suppression):
-        h0 = build_coupling_matrix(spectrum.realization, mode)
-        spectrum = replace(spectrum, lambda0_min=_positivity(h0), gram_margin=None)
+        _certify(build_coupling_matrix(spectrum.realization, mode))
+        spectrum = replace(spectrum, gram_margin=None)
     spectra[key] = spectrum
     trace = spectral_trace(spectrum, suppression, pulse.amplitude)
     return trace, spectrum.realization

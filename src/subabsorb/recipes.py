@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, coupled_dipole, maxwell_bloch
 from .core import (AtomicSpecies, ConfigError, DomainError, EnsembleConfig,
-                   PulseShape, _number, _numbers, box_side_for_sigma_ss,
+                   PulseShape, _number, _numbers, _section, box_side_for_sigma_ss,
                    ensemble_from_dict, load_config_dict, optical_depth_from_geometry,
                    pulse_from_dict, species_from_dict)
 
@@ -48,7 +48,9 @@ DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
 MEMORY_BUDGET = 2 * 1024**3
 #: N x N float64 arrays live at once in a collective realization: H0, and,
 #: only at a point that reads S >= 1 - delta (beta = 0), the input copy and
-#: the factor of its Cholesky certificate.  An upper bound for every recipe
+#: the factor of its Cholesky certificate.  A failed factorization ends the
+#: point, so no eigensolver workspace follows it: an upper bound for every
+#: recipe
 CD_LIVE_MATRICES = 3
 #: Maxwell-Bloch bytes per z node and batch row: the RK4 state with the
 #: field (64), the stage state (48), k1..k4 (192) and seven complex z
@@ -107,11 +109,8 @@ class ExperimentRecipe:
             depths += self.sweep_values
         if min(depths) <= 0:
             raise ConfigError("sigma_ss values, sigma_ss_fixed and od_grid must be > 0")
-        if (self.swept_parameter == "box_side"
-                and min(self.sweep_values) <= self.ensemble.min_pair_separation):
-            raise ConfigError("box_side values must exceed min_pair_separation")
-        if self.swept_parameter == "beta" and min(self.sweep_values) < 0:
-            raise ConfigError("beta sweep values must be >= 0")
+        if not self.pulse.amplitude > 0:
+            raise ConfigError("pulse rabi_peak_rad_per_s must be > 0")
         if self.model == "coupled_dipole" and self.ensemble.atom_count < 1:
             raise ConfigError("the coupled_dipole model needs ensemble.atom_count >= 1")
         # the collective model solves a resonant step drive and reads only
@@ -119,7 +118,10 @@ class ExperimentRecipe:
         if self.model == "coupled_dipole" and (self.pulse.kind != "step"
                                                or self.pulse.detuning != 0):
             raise ConfigError("the coupled_dipole model needs a step pulse on resonance")
-        need = peak_bytes(self)
+        try:
+            need = peak_bytes(self)
+        except DomainError as exc:
+            raise ConfigError(f"collective sweep point: {exc}") from exc
         if need > MEMORY_BUDGET:
             raise ConfigError(f"recipe {self.name!r} needs about {need / 2**30:.3g} GiB, "
                               f"above the {MEMORY_BUDGET / 2**30:g} GiB memory budget")
@@ -148,7 +150,6 @@ class ExperimentRecipe:
             },
             "ensemble": {
                 "atom_count": self.ensemble.atom_count,
-                "box_side_um": [a * lam_um for a in self.ensemble.box],
                 "beta_over_2pi_hz_cm3": self.ensemble.beta_over_2pi_hz_cm3,
                 "min_pair_separation_um": self.ensemble.min_pair_separation * lam_um,
                 "rng_seed": self.ensemble.rng_seed,
@@ -160,10 +161,12 @@ class ExperimentRecipe:
 def peak_bytes(recipe: ExperimentRecipe) -> int:
     """Estimated peak memory of running ``recipe``, from its sizes alone.
 
-    Collective: the larger of the model pass, CD_LIVE_MATRICES N x N
-    float64 arrays, and the fit, which holds every realization's dipole
-    trace and its sigma and u_sigma, each point's mean and standard error
-    on T_POINTS, and one fit block (analysis.fit_peak_bytes).
+    Collective: every point's EnsembleConfig is built (_cd_points), so a
+    geometry it refuses raises DomainError here.  The estimate is the
+    larger of the model pass, CD_LIVE_MATRICES N x N float64 arrays, and
+    the fit, which holds every realization's dipole trace and its sigma and
+    u_sigma, each point's mean and standard error on T_POINTS, and one fit
+    block (analysis.fit_peak_bytes).
     Maxwell-Bloch: the largest batch of points sharing a z grid, each row
     holding its recorded planes (both ends, or every node with
     ``dump_grid``) and the larger of its RK4 buffers (z_steps + 1 nodes and
@@ -171,7 +174,7 @@ def peak_bytes(recipe: ExperimentRecipe) -> int:
     intensities, sigma and u_sigma at every time level, and the fit block.
     """
     if recipe.model == "coupled_dipole":
-        points = len(_cd_points(recipe))
+        points = len(_cd_points(recipe, recipe.ensemble.rng_seed))
         rows = points * recipe.ensemble.realization_count
         t = coupled_dipole.T_POINTS
         return max(CD_LIVE_MATRICES * 8 * recipe.ensemble.atom_count**2,
@@ -186,6 +189,9 @@ def peak_bytes(recipe: ExperimentRecipe) -> int:
 
 def recipe_from_dict(data: dict) -> ExperimentRecipe:
     try:
+        _section(data, "config", ("name", "model", "swept_parameter", "sweep_values",
+                                  "mode", "sigma_ss_fixed", "od_grid", "dump_grid",
+                                  "description", "species", "pulse", "ensemble"))
         if not isinstance(data.get("dump_grid", False), bool):
             raise ConfigError("dump_grid must be true or false")
         species = species_from_dict(data.get("species", {}))
@@ -395,44 +401,50 @@ def _mb_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
             raise error
 
 
-def _cd_points(recipe: ExperimentRecipe):
-    """(swept value, cube side, beta, point index) of every collective point.
+def _cd_points(recipe: ExperimentRecipe, base_seed: int):
+    """(swept value, point index, EnsembleConfig) of every collective point.
 
-    A beta sweep runs the optical-depth grid at every beta with the point
-    index of the grid only, so all beta values see the same disorder
-    realizations and the suppression trend is not confounded by
-    configuration noise."""
+    Each config is the point's cube, beta, first seed and realization
+    count, so building it checks the point's geometry (DomainError).  Point
+    k runs seeds base_seed + k*M .. base_seed + k*M + M-1.  A beta sweep
+    runs the optical-depth grid at every beta with the point index of the
+    grid only, so all beta values see the same disorder realizations and
+    the suppression trend is not confounded by configuration noise."""
     ensemble = recipe.ensemble
+    n_real = ensemble.realization_count
+
+    def point(value, k, side, beta):
+        return value, k, replace(ensemble, box=(side, side, side),
+                                 rng_seed=base_seed + k * n_real,
+                                 beta_over_2pi_hz_cm3=beta)
 
     def side(sigma_ss):
         return box_side_for_sigma_ss(sigma_ss, ensemble.atom_count)
 
     if recipe.swept_parameter == "beta":
-        return [(beta, side(od), beta, k) for beta in recipe.sweep_values
+        return [point(beta, k, side(od), beta) for beta in recipe.sweep_values
                 for k, od in enumerate(recipe.od_grid or DEFAULT_OD_GRID)]
-    return [(value, value if recipe.swept_parameter == "box_side" else side(value),
-             ensemble.beta_over_2pi_hz_cm3, k)
+    return [point(value, k, value if recipe.swept_parameter == "box_side" else side(value),
+                  ensemble.beta_over_2pi_hz_cm3)
             for k, value in enumerate(recipe.sweep_values)]
 
 
-def _cd_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int, n_real: int):
+def _cd_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
     """Run every collective point, fit all their traces in one call, then
     write and yield the points in order.
 
-    A point runs realizations seed .. seed+M-1 of a cube and its row holds
-    the mean fitted tau and its standard error.  The seeds come from the
-    point index (see _cd_points); a beta sweep's points write no traces.
+    A point runs the realizations of its config (see _cd_points) and its
+    row holds the mean fitted tau and its standard error; a beta sweep's
+    points write no traces.
     ``spectra`` is shared by every point, so a geometry seen again at
     another beta is sampled and read once.  A failure ends the sweep after
     the points before it: the first model error stops the model pass, and
     the points from the first one that fails to fit on are dropped.
     """
-    ensemble, species = recipe.ensemble, recipe.species
+    species, n_real = recipe.species, recipe.ensemble.realization_count
     spectra: dict = {}
     done, traces, error = [], [], None
-    for value, a, beta, k in _cd_points(recipe):
-        config = replace(ensemble, box=(a, a, a), rng_seed=base_seed + k * n_real,
-                         realization_count=n_real, beta_over_2pi_hz_cm3=beta)
+    for value, k, config in _cd_points(recipe, base_seed):
         sigma_ss = optical_depth_from_geometry(config)
         try:
             result = coupled_dipole.run_ensemble(config, species=species, pulse=recipe.pulse,
@@ -506,7 +518,7 @@ def run_recipe(recipe: ExperimentRecipe, out_dir, seed: int | None = None,
     os.makedirs(run_dir, exist_ok=True)
 
     rows = (_mb_rows(recipe, run_dir, base_seed) if recipe.model == "maxwell_bloch"
-            else _cd_rows(recipe, run_dir, base_seed, n_real))
+            else _cd_rows(recipe, run_dir, base_seed))
     collected: list[SweepRow] = []
     error: Exception | None = None
     try:

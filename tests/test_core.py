@@ -182,14 +182,18 @@ class TestEnsembleConfig:
         assert cfg.gamma_dd(sp) == pytest.approx(expected, rel=1e-12)
 
 
+SECTION_PARSERS = {"species": species_from_dict,
+                   "pulse": lambda d: pulse_from_dict(d, AtomicSpecies()),
+                   "ensemble": lambda d: ensemble_from_dict(d, AtomicSpecies())}
+
+
 class TestConfigParsing:
     def test_full_round_trip(self, tmp_path):
         data = {
             "species": {"excited_lifetime_ns": 26.2, "wavelength_nm": 780.0},
             "pulse": {"kind": "step", "rabi_peak_rad_per_s": 3.8167e4,
                       "detuning_rad_per_s": 1.272e7, "rise_10_90_ns": 8.0},
-            "ensemble": {"atom_count": 200, "box_side_um": [15.6, 15.6, 15.6],
-                         "beta_over_2pi_hz_cm3": 4.9e-5,
+            "ensemble": {"atom_count": 200, "beta_over_2pi_hz_cm3": 4.9e-5,
                          "min_pair_separation_um": 0.039,
                          "rng_seed": 11, "realization_count": 4},
         }
@@ -201,8 +205,7 @@ class TestConfigParsing:
         ens = ensemble_from_dict(raw["ensemble"], sp)
         assert pulse.amplitude == pytest.approx(3.8167e4 * sp.lifetime_s, rel=1e-12)
         assert pulse.detuning == pytest.approx(1.272e7 * 26.2e-9, rel=1e-12)
-        # 15.6 um = 20 lambda at 780 nm
-        assert ens.box[0] == pytest.approx(20.0, rel=1e-12)
+        # 0.039 um = 0.05 lambda at 780 nm
         assert ens.min_pair_separation == pytest.approx(0.05, rel=1e-12)
         assert ens.rng_seed == 11
 
@@ -212,9 +215,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config_dict(path)
 
-    def test_bad_box(self):
-        with pytest.raises(ConfigError):
-            ensemble_from_dict({"box_side_um": [1.0, 2.0]}, AtomicSpecies())
+    @pytest.mark.parametrize("section,data,message", [
+        ("ensemble", {"atom_count": 20, "box_side_um": [15.6, 15.6, 15.6]},
+         "unknown key 'box_side_um' in ensemble"),
+        ("pulse", {"knid": "step"}, "unknown key 'knid' in pulse"),
+        ("species", [26.2, 780], "species must be a JSON object"),
+        ("pulse", "step", "pulse must be a JSON object"),
+    ])
+    def test_sections_hold_only_known_keys(self, section, data, message):
+        parse = SECTION_PARSERS[section]
+        with pytest.raises(ConfigError, match=message):
+            parse(data)
 
     @pytest.mark.parametrize("section,data", [
         ("species", {"wavelength_nm": True}),
@@ -224,19 +235,17 @@ class TestConfigParsing:
         ("ensemble", {"beta_over_2pi_hz_cm3": "inf"}),
         ("ensemble", {"beta_over_2pi_hz_cm3": float("inf")}),
         ("ensemble", {"min_pair_separation_um": False}),
-        ("ensemble", {"box_side_um": [15.6, True, 15.6]}),
-        ("ensemble", {"box_side_um": "15.6"}),
-        ("ensemble", {"box_side_um": [15.6, 15.6, 10**400]}),
+        ("ensemble", {"min_pair_separation_um": 10**400}),
+        ("ensemble", {"atom_count": True}),
     ])
     def test_numbers_must_be_finite_json_numbers(self, section, data):
         # a boolean, a string or a non-finite value is refused, not converted
-        parse = {"species": species_from_dict,
-                 "pulse": lambda d: pulse_from_dict(d, AtomicSpecies()),
-                 "ensemble": lambda d: ensemble_from_dict(d, AtomicSpecies())}[section]
+        parse = SECTION_PARSERS[section]
         with pytest.raises(ConfigError, match="must be a"):
             parse(data)
 
     def test_integer_numbers_are_numbers(self):
         assert species_from_dict({"wavelength_nm": 780}).wavelength_nm == 780.0
-        ens = ensemble_from_dict({"box_side_um": [39, 39, 39]}, AtomicSpecies())
-        assert ens.box == (50.0, 50.0, 50.0)
+        ens = ensemble_from_dict({"min_pair_separation_um": 0}, AtomicSpecies())
+        assert ens.min_pair_separation == 0.0
+        assert isinstance(ens.min_pair_separation, float)

@@ -240,11 +240,10 @@ class TestSampler:
         assert r.atom_count == 80
         assert r.min_pair_distance >= 0.2
 
-    def test_impossible_density_raises(self):
-        cfg = EnsembleConfig(atom_count=80, box=(1.0, 1.0, 1.0),
-                             min_pair_separation=0.45)
-        with pytest.raises(DensityTooHighError):
-            sample_positions(cfg, seed=0)
+    def test_impossible_density_is_refused_by_the_config(self):
+        # beyond the volume bound no sampler runs: the config itself is refused
+        with pytest.raises(DomainError, match="cannot fit"):
+            EnsembleConfig(atom_count=80, box=(1.0, 1.0, 1.0), min_pair_separation=0.45)
 
 
 class TestCouplingMatrix:
@@ -505,11 +504,11 @@ class TestSharedSpectrum:
         with pytest.raises(PerturbativeBoundError):
             run_realization(self.CFG, seed=8, pulse=strong, spectra={})
 
-    def test_non_positive_spectrum_raises(self):
+    def test_non_positive_node_raises(self):
         spectrum = realization_spectrum(self.CFG, 8)
-        assert spectrum.lambda0[0] > 0 and spectrum.lambda0_min is None
-        # an uncertified H0 whose exact smallest eigenvalue is below zero
-        shifted = replace(spectrum, lambda0_min=-1e-3)
+        assert spectrum.lambda0[0] > 0 and spectrum.gram_margin is None
+        # a rule whose smallest node is below zero has no steady state
+        shifted = replace(spectrum, lambda0=spectrum.lambda0 - spectrum.lambda0[0] - 1e-3)
         with pytest.raises(DomainError, match="not positive"):
             spectral_trace(shifted, 1.0, 1e-3)
 
@@ -688,25 +687,18 @@ class TestLanczosReadout:
         proj = np.eye(len(q)) - np.outer(q, q)
         h0 = proj @ h_true @ proj + lam_neg * np.outer(q, q)
         h0 = 0.5 * (h0 + h0.T)
-        spectrum = _spectrum(realization, h0)
-        assert spectrum.lambda0[0] > 0           # the rule alone cannot see it
-        assert spectrum.lambda0_min == pytest.approx(np.linalg.eigvalsh(h0)[0], abs=1e-12)
-        assert spectrum.lambda0_min == pytest.approx(lam_neg, abs=1e-12)
+        assert np.linalg.eigvalsh(h0)[0] == pytest.approx(lam_neg, abs=1e-12)
+        # the rule alone cannot see it: uncertified, its nodes are all positive
+        uncertified = _spectrum(realization, h0, gram_margin=_gram_margin(realization))
+        assert uncertified.lambda0[0] > 0
         with pytest.raises(DomainError, match="not positive"):
-            spectral_trace(spectrum, 1.0, 1e-3)
-        # lambda(S) = 1/2 + S (lam_neg - 1/2) changes sign at S* = 1/(1 - 2 lam_neg)
-        s_star = 1.0 / (1.0 - 2.0 * lam_neg)
-        with pytest.raises(DomainError, match="not positive"):
-            spectral_trace(spectrum, s_star * (1.0 + 1e-6), 1e-3)
-        for suppression in (s_star * (1.0 - 1e-6), 0.5, 1e-3):
-            trace = spectral_trace(spectrum, suppression, 1e-3)
-            assert np.all(np.isfinite(trace.p_normalized))
+            _spectrum(realization, h0)
 
     def test_sampled_geometries_are_certified(self):
         for n, sigma_ss, mode in [(60, 0.05, "vectorial"), (300, 2.0, "scalar")]:
             side = box_side_for_sigma_ss(sigma_ss, n)
             cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
-            assert realization_spectrum(cfg, 1, mode=mode).lambda0_min is None
+            assert realization_spectrum(cfg, 1, mode=mode).gram_margin is None
 
 
 def exchange_longdouble(dx, dy, dz, mode):
@@ -767,7 +759,10 @@ class TestGramMargin:
         close = EnsembleRealization(positions=positions, min_pair_distance=float(dist.min()))
         assert _gram_margin(close) >= 1.0
         monkeypatch.setattr(coupled_dipole, "sample_positions", lambda config, seed: close)
+        certified = []
+        monkeypatch.setattr(coupled_dipole, "_certify", certified.append)
         spectrum = realization_spectrum(cfg, 1, suppression=0.0)
+        assert len(certified) == 1
         assert spectrum.gram_margin is None
         assert not spectrum.uncertified_at(1.0)
 
@@ -779,11 +774,10 @@ class TestLazyCertificate:
 
     def test_dephased_read_leaves_the_certificate_for_later(self):
         spectrum = realization_spectrum(self.CFG, 8, suppression=0.5)
-        assert spectrum.lambda0_min is None
         assert spectrum.gram_margin == _gram_margin(spectrum.realization)
         assert spectrum.uncertified_at(1.0) and not spectrum.uncertified_at(0.5)
         certified = realization_spectrum(self.CFG, 8)
-        assert certified.gram_margin is None and certified.lambda0_min is None
+        assert certified.gram_margin is None
         assert np.array_equal(spectrum.lambda0, certified.lambda0)
         assert np.array_equal(spectrum.weights, certified.weights)
         with pytest.raises(ValueError, match="certificate"):
@@ -794,13 +788,13 @@ class TestLazyCertificate:
 
     def test_undephased_read_after_a_dephased_one_certifies_once(self, monkeypatch):
         calls = []
-        original = coupled_dipole._positivity
+        original = coupled_dipole._certify
 
         def counting(h0):
             calls.append(h0.copy())
             return original(h0)
 
-        monkeypatch.setattr(coupled_dipole, "_positivity", counting)
+        monkeypatch.setattr(coupled_dipole, "_certify", counting)
         dephased = replace(self.CFG, beta_over_2pi_hz_cm3=9e-5)
         spectra = {}
         run_realization(dephased, 8, pulse=STEP, spectra=spectra)
@@ -808,7 +802,7 @@ class TestLazyCertificate:
         for cfg in (self.CFG, self.CFG, dephased):
             run_realization(cfg, 8, pulse=STEP, spectra=spectra)
         [spectrum] = spectra.values()
-        assert spectrum.gram_margin is None and spectrum.lambda0_min is None
+        assert spectrum.gram_margin is None
         # the reassembled H0 is the one an up-front certificate would see
         assert len(calls) == 1
         assert np.array_equal(calls[0], build_coupling_matrix(spectrum.realization))

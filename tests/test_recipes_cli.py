@@ -42,16 +42,43 @@ def counting_batches(monkeypatch):
 
 
 def counting_certificates(monkeypatch):
-    """Record the size of every H0 that coupled_dipole._positivity certifies."""
+    """Record the size of every H0 that coupled_dipole._certify certifies."""
     sizes = []
-    original = coupled_dipole._positivity
+    original = coupled_dipole._certify
 
     def counting(h0):
         sizes.append(len(h0))
         return original(h0)
 
-    monkeypatch.setattr(coupled_dipole, "_positivity", counting)
+    monkeypatch.setattr(coupled_dipole, "_certify", counting)
     return sizes
+
+
+def jamming_sampler(monkeypatch):
+    """Lower the sampler's rejection limit, so that a cube of side 0.1
+    lambda, inside the volume bound for 40 atoms 0.05 lambda apart but far
+    above the jamming density of random insertion, aborts at once with
+    DensityTooHighError."""
+    monkeypatch.setattr(coupled_dipole, "MAX_REJECTIONS", 20_000)
+
+
+def failing_cholesky(monkeypatch, below=float("inf")):
+    """Make np.linalg.cholesky fail, as on an H0 that is not positive, for
+    the spectra of cubes with sides below ``below`` (every cube by default),
+    so the certificate's own failure branch runs."""
+    original = coupled_dipole.realization_spectrum
+
+    def refuse(h0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    def spectrum(config, *args, **kwargs):
+        if not config.box[0] < below:
+            return original(config, *args, **kwargs)
+        with monkeypatch.context() as inner:
+            inner.setattr(np.linalg, "cholesky", refuse)
+            return original(config, *args, **kwargs)
+
+    monkeypatch.setattr(coupled_dipole, "realization_spectrum", spectrum)
 
 
 def failing_fit_row(monkeypatch, row):
@@ -530,7 +557,7 @@ class TestCli:
         ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
                        "beta_over_2pi_hz_cm3": True}}, []),
         ({"ensemble": {"atom_count": 20, "rng_seed": 3, "realization_count": 1,
-                       "box_side_um": [9.36, "9.36", 9.36]}}, []),
+                       "min_pair_separation_um": "0.039"}}, []),
         ({"species": {"wavelength_nm": "780"}}, []),
         ({"pulse": {"kind": "step", "rabi_peak_rad_per_s": True}}, []),
         ({"sweep_values": ["0.5"]}, []),
@@ -560,10 +587,11 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
 
-    def test_model_error_exit_code_keeps_completed_rows(self, tmp_path):
-        # the second cube cannot hold 40 atoms 0.05 lambda apart
+    def test_model_error_exit_code_keeps_completed_rows(self, tmp_path, monkeypatch):
+        # the second cube jams before it holds 40 atoms 0.05 lambda apart
+        jamming_sampler(monkeypatch)
         cfg = {"name": "cd_dense", "model": "coupled_dipole",
-               "swept_parameter": "box_side", "sweep_values": [14.0, 0.06],
+               "swept_parameter": "box_side", "sweep_values": [14.0, 0.1],
                "pulse": {"kind": "step"},
                "ensemble": {"atom_count": 40, "rng_seed": 3, "realization_count": 2}}
         path = tmp_path / "dense.json"
@@ -620,10 +648,11 @@ class TestCli:
         assert meta["error"]["type"] == "FitError"
 
     def test_fit_error_before_a_model_error_is_recorded(self, tmp_path, monkeypatch):
-        # point 1 fails to fit and point 2 cannot hold 40 atoms 0.05 lambda
-        # apart: the first failure in point order ends the sweep
+        # point 1 fails to fit and point 2 jams before it holds 40 atoms 0.05
+        # lambda apart: the first failure in point order ends the sweep
         failing_fit_row(monkeypatch, 2)
-        assert cli.main(self.cd_box_config(tmp_path, [14.0, 10.0, 0.06])) == cli.EXIT_FIT
+        jamming_sampler(monkeypatch)
+        assert cli.main(self.cd_box_config(tmp_path, [14.0, 10.0, 0.1])) == cli.EXIT_FIT
         run_dir = tmp_path / "runs" / "cd_boxes"
         assert len((run_dir / "sweep.csv").read_text().splitlines()) == 2
         assert point_prefixes(run_dir) == ["point_00"]
@@ -632,7 +661,8 @@ class TestCli:
 
     def test_failing_first_point_makes_no_fit_call(self, tmp_path, monkeypatch):
         traces_per_call = counting_fit_calls(monkeypatch)
-        assert cli.main(self.cd_box_config(tmp_path, [0.06, 14.0])) == cli.EXIT_MODEL
+        jamming_sampler(monkeypatch)
+        assert cli.main(self.cd_box_config(tmp_path, [0.1, 14.0])) == cli.EXIT_MODEL
         assert traces_per_call == []
         run_dir = tmp_path / "runs" / "cd_boxes"
         assert len((run_dir / "sweep.csv").read_text().splitlines()) == 1
@@ -654,14 +684,7 @@ class TestCli:
         assert meta["error"]["type"] == "PerturbativeBoundError"
 
     def test_non_positive_spectrum_exit_code(self, tmp_path, monkeypatch):
-        original = coupled_dipole.realization_spectrum
-
-        def uncertified(*args, **kwargs):
-            # as if Cholesky failed on H0 and its exact smallest eigenvalue
-            # were below zero
-            return replace(original(*args, **kwargs), lambda0_min=-1e-3)
-
-        monkeypatch.setattr(coupled_dipole, "realization_spectrum", uncertified)
+        failing_cholesky(monkeypatch)
         cfg = {"name": "cd_negative", "model": "coupled_dipole",
                "swept_parameter": "sigma_ss", "sweep_values": [0.5],
                "pulse": {"kind": "step"},
@@ -914,25 +937,12 @@ class TestLoadRecipe:
             "name": "cd_json", "model": "coupled_dipole",
             "swept_parameter": "box_side", "sweep_values": [12.0, 9.0],
             "pulse": {"kind": "step", "rabi_peak_rad_per_s": 38167.0},
-            "ensemble": {"atom_count": 40, "rng_seed": 3, "realization_count": 2,
-                         "box_side_um": [9.36, 9.36, 9.36]},
+            "ensemble": {"atom_count": 40, "rng_seed": 3, "realization_count": 2},
         }
         path = tmp_path / "cd.json"
         path.write_text(json.dumps(cfg))
         recipe = load_recipe(path)
         assert len(run_recipe(recipe, tmp_path / "out")) == 2
-
-
-def _negative_spectrum_below(monkeypatch, side):
-    """Cubes smaller than ``side`` read as if Cholesky failed on H0 and its
-    exact smallest eigenvalue were below zero."""
-    original = coupled_dipole.realization_spectrum
-
-    def uncertified(config, *args, **kwargs):
-        spectrum = original(config, *args, **kwargs)
-        return replace(spectrum, lambda0_min=-1e-3) if config.box[0] < side else spectrum
-
-    monkeypatch.setattr(coupled_dipole, "realization_spectrum", uncertified)
 
 
 def _blocked_second_trace(monkeypatch, run_dir):
@@ -963,11 +973,12 @@ class TestFailureMatrix:
          cli.EXIT_FIT, "fit error: ", "FitError", 1),
         (MB_DEPTHS, [], lambda mp, d: failing_fit_row(mp, 1),
          cli.EXIT_FIT, "fit error: ", "FitError", 1),
-        ({**CD_BOXES, "sweep_values": [14.0, 10.0, 0.06]}, [], None,
+        ({**CD_BOXES, "sweep_values": [14.0, 10.0, 0.1]}, [],
+         lambda mp, d: jamming_sampler(mp),
          cli.EXIT_MODEL, "model error: ", "DensityTooHighError", 2),
         ({**CD_BOXES, "pulse": {"kind": "step", "rabi_peak_rad_per_s": 0.05 / 26.2e-9}},
          [], None, cli.EXIT_MODEL, "model error: ", "PerturbativeBoundError", 0),
-        (CD_BOXES, [], lambda mp, d: _negative_spectrum_below(mp, 12.0),
+        (CD_BOXES, [], lambda mp, d: failing_cholesky(mp, below=12.0),
          cli.EXIT_MODEL, "model error: ", "DomainError", 1),
         (MB_DEPTHS, [], _blocked_second_trace,
          cli.EXIT_OUTPUT, "output error: ", "IsADirectoryError", 1),
@@ -976,8 +987,25 @@ class TestFailureMatrix:
         # 3 points x 10^6 realizations would hold about 10.8 GiB of traces
         (CD_BOXES, ["--realizations", "1000000"], _model_must_not_run,
          cli.EXIT_CONFIG, "config error: ", None, None),
+        # the second cube, 0.0031 lambda, is below the 0.05 lambda exclusion
+        ({**CD_BOXES, "swept_parameter": "sigma_ss", "sweep_values": [0.5, 1e6]}, [],
+         _model_must_not_run, cli.EXIT_CONFIG, "config error: ", None, None),
+        ({**CD_BOXES, "sweep_values": [14.0, 10.0, 0.06]}, [], _model_must_not_run,
+         cli.EXIT_CONFIG, "config error: ", None, None),
+        ({**MB_DEPTHS, "dump_grdi": True}, [], None,
+         cli.EXIT_CONFIG, "config error: ", None, None),
+        ({**MB_DEPTHS, "pulse": {"knid": "step"}}, [], None,
+         cli.EXIT_CONFIG, "config error: ", None, None),
+        ({**MB_DEPTHS, "species": [26.2, 780]}, [], None,
+         cli.EXIT_CONFIG, "config error: ", None, None),
+        ({**MB_DEPTHS, "pulse": {"rabi_peak_rad_per_s": 0}}, [], None,
+         cli.EXIT_CONFIG, "config error: ", None, None),
+        ({**CD_BOXES, "pulse": {"kind": "step", "rabi_peak_rad_per_s": 0}}, [],
+         _model_must_not_run, cli.EXIT_CONFIG, "config error: ", None, None),
     ], ids=["cd-fit", "mb-fit", "density", "perturbative", "non-positive-spectrum",
-            "point-write", "config", "realizations-over-budget"])
+            "point-write", "config", "realizations-over-budget", "cube-below-exclusion",
+            "infeasible-packing", "unknown-key", "unknown-section-key", "list-section",
+            "mb-zero-amplitude", "cd-zero-amplitude"])
     def test_sweep_failure(self, tmp_path, monkeypatch, capsys, fields, argv, setup, code,
                            prefix, error, finished):
         path = tmp_path / "sweep.json"
