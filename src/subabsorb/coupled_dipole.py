@@ -30,17 +30,17 @@ Every H(S) with S < 1 is positive by structure: H0 = Gamma/2 is half the
 cooperative decay matrix, a Gram matrix in both coupling modes (Lehmberg,
 Phys. Rev. A 2, 883 (1970)), so H(S) = (1 - S)/2 I + S H0 has no eigenvalue
 below (1 - S)/2, less the rounding of the assembly.  That rounding is
-bounded by half the realization's Gram margin delta (_gram_margin), so a
-point that reads S < 1 - delta needs no certificate.  Only a point at
-S >= 1 - delta asks for one: a Cholesky factorization of H0, whose failure
-raises DomainError (_certify).
+bounded by half the realization's Gram margin delta (_gram_margin).  Before
+a geometry's first read, the largest S it will be read at decides, once,
+whether H0 needs a certificate: at S >= 1 - delta it gets a Cholesky
+factorization, whose failure raises DomainError (_certify).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,11 +310,11 @@ class RealizationSpectrum:
     that b sees, with the eigenvector weights |(Q^T b)_j|^2.
 
     Ritz values lie inside [lambda_min, lambda_max] of H0, so a positive
-    smallest node does not prove H0 positive.  Positivity is settled in one
-    of two ways:
-    - gram_margin is delta: the certificate has not run; the Gram structure
-      of H0 proves every H(S) with S < 1 - delta positive, and a read at
-      S >= 1 - delta needs the certificate first;
+    smallest node does not prove H0 positive.  Positivity is settled when
+    the spectrum is made, in one of two ways:
+    - gram_margin is delta: no certificate; the Gram structure of H0
+      proves every H(S) with S < 1 - delta positive, and reads at
+      S >= 1 - delta are refused;
     - gram_margin is None: a Cholesky factorization of H0 succeeded, which
       proves every H(S) with S <= 1 positive.  An H0 whose factorization
       fails has no spectrum: _certify raises DomainError.
@@ -324,11 +324,6 @@ class RealizationSpectrum:
     lambda0: np.ndarray
     weights: np.ndarray
     gram_margin: float | None
-
-    def uncertified_at(self, suppression: float) -> bool:
-        """Whether a read at S = suppression needs the certificate that has
-        not run."""
-        return self.gram_margin is not None and not suppression < 1.0 - self.gram_margin
 
 
 def _readout(lam: np.ndarray, w: np.ndarray):
@@ -465,10 +460,10 @@ def realization_spectrum(config: EnsembleConfig, seed: int, mode: str = "vectori
                          suppression: float = 1.0) -> RealizationSpectrum:
     """Sample one realization and read the Gauss rule of its undephased H0.
 
-    ``suppression`` is the S the caller reads first.  H0 is certified only
-    when it is at least 1 - delta (_gram_margin); below that the Gram
-    bound proves positivity and the certificate is left to a later read
-    that needs it (run_realization).  The default certifies.
+    ``suppression`` is the largest S that any read of the spectrum will
+    make.  H0 is certified now, once, when it is at least 1 - delta
+    (_gram_margin); below that the Gram bound proves every such read
+    positive and no certificate runs.  The default certifies.
     """
     realization = sample_positions(config, seed)
     h0 = build_coupling_matrix(realization, mode)
@@ -485,13 +480,13 @@ def spectral_trace(spectrum: RealizationSpectrum, suppression: float,
     raw P(t) = Omega0 |sum_j w_j phi_j(t)|, steady state Omega0 |sum_j w_j/lambda_j|
     and sum |c_j|^2 = Omega0^2 sum_j w_j phi_j(t)^2.  Below
     S = 1 - gram_margin positivity comes from the Gram structure of H0,
-    above it from the Cholesky certificate; reading an uncertified spectrum
-    above 1 - gram_margin raises ValueError.  A node that is not positive
-    has no steady state and raises DomainError.
+    above it from the Cholesky certificate; reading a spectrum made
+    without the certificate above 1 - gram_margin raises ValueError.  A
+    node that is not positive has no steady state and raises DomainError.
     """
-    if spectrum.uncertified_at(suppression):
+    if spectrum.gram_margin is not None and not suppression < 1.0 - spectrum.gram_margin:
         raise ValueError(f"S = {suppression!r} needs the positivity certificate, which "
-                         "this spectrum has not run")
+                         "this spectrum was made without")
     # at S = 1 use lambda0 itself: 0.5 + (lambda0 - 0.5) can round
     lam = (spectrum.lambda0 if suppression == 1.0
            else 0.5 + suppression * (spectrum.lambda0 - 0.5))
@@ -514,16 +509,18 @@ def spectral_trace(spectrum: RealizationSpectrum, suppression: float,
 def run_realization(config: EnsembleConfig, seed: int,
                     species: AtomicSpecies = AtomicSpecies(),
                     pulse: PulseShape | None = None, mode: str = "vectorial",
-                    spectra: dict | None = None) -> tuple[DipoleTrace, EnsembleRealization]:
+                    spectra: dict | None = None, largest_suppression: float | None = None,
+                    ) -> tuple[DipoleTrace, EnsembleRealization]:
     """One disorder realization: sample, read its Gauss rule, reduce to P(t) on T_POINTS.
 
     ``spectra`` is an optional cache of RealizationSpectrum keyed by the
     geometry (seed, box, atom_count, min_pair_separation, mode); a sweep
     over the dephasing coefficient passes the same dict for every value so
-    each geometry is sampled and read once.  Its positivity is certified
-    at most once, by the first read at S >= 1 - delta; when an earlier read
-    left the spectrum uncertified, H0 is assembled again from the stored
-    positions (the same operations, so the same bits) for the certificate.
+    each geometry is sampled and read once.  ``largest_suppression`` is
+    the largest S that any read of the geometry will make, by default the
+    S of this call.  Positivity is decided from it once, when the spectrum
+    is made (realization_spectrum), so a later read above it raises
+    ValueError (spectral_trace).
     """
     if pulse is None:
         pulse = PulseShape(kind="step")
@@ -532,11 +529,9 @@ def run_realization(config: EnsembleConfig, seed: int,
     suppression = suppression_factor(config.gamma_dd(species))
     spectrum = spectra.get(key)
     if spectrum is None:
-        spectrum = realization_spectrum(config, seed, mode=mode, suppression=suppression)
-    elif spectrum.uncertified_at(suppression):
-        _certify(build_coupling_matrix(spectrum.realization, mode))
-        spectrum = replace(spectrum, gram_margin=None)
-    spectra[key] = spectrum
+        spectrum = spectra[key] = realization_spectrum(
+            config, seed, mode=mode,
+            suppression=suppression if largest_suppression is None else largest_suppression)
     trace = spectral_trace(spectrum, suppression, pulse.amplitude)
     return trace, spectrum.realization
 
@@ -555,22 +550,20 @@ class EnsembleResult:
 
 def run_ensemble(config: EnsembleConfig, species: AtomicSpecies = AtomicSpecies(),
                  pulse: PulseShape | None = None, mode: str = "vectorial",
-                 spectra: dict | None = None) -> EnsembleResult:
+                 spectra: dict | None = None,
+                 largest_suppression: float | None = None) -> EnsembleResult:
     """Average P(t) over realization_count independent realizations.
 
     Seeds are rng_seed + 0 .. rng_seed + (M-1); the average runs in fixed
     index order so results do not depend on execution interleaving.  Any
-    failed realization aborts the batch.  ``spectra`` is passed on to
-    run_realization (a cache shared across a dephasing family).
+    failed realization aborts the batch.  ``spectra`` and
+    ``largest_suppression`` are passed on to run_realization.
     """
     seeds = tuple(config.rng_seed + i for i in range(config.realization_count))
-    traces = []
-    realizations = []
-    for s in seeds:
-        trace, realization = run_realization(config, s, species=species, pulse=pulse,
-                                             mode=mode, spectra=spectra)
-        traces.append(trace)
-        realizations.append(realization)
+    traces, realizations = zip(*(
+        run_realization(config, s, species=species, pulse=pulse, mode=mode,
+                        spectra=spectra, largest_suppression=largest_suppression)
+        for s in seeds))
     stack = np.stack([tr.p_normalized for tr in traces])
     mean = stack.mean(axis=0)
     if len(traces) > 1:
@@ -578,5 +571,4 @@ def run_ensemble(config: EnsembleConfig, species: AtomicSpecies = AtomicSpecies(
     else:
         stderr = np.zeros_like(mean)
     return EnsembleResult(t_points=traces[0].t_points, p_mean=mean, p_stderr=stderr,
-                          traces=tuple(traces), realizations=tuple(realizations),
-                          seeds=seeds)
+                          traces=traces, realizations=realizations, seeds=seeds)

@@ -47,10 +47,10 @@ DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
 #: up to about 9400
 MEMORY_BUDGET = 2 * 1024**3
 #: N x N float64 arrays live at once in a collective realization: H0, and,
-#: only at a point that reads S >= 1 - delta (beta = 0), the input copy and
-#: the factor of its Cholesky certificate.  A failed factorization ends the
-#: point, so no eigensolver workspace follows it: an upper bound for every
-#: recipe
+#: only for a geometry some point reads at S >= 1 - delta (beta = 0), the
+#: input copy and the factor of its Cholesky certificate.  A failed
+#: factorization ends the point, so no eigensolver workspace follows it:
+#: an upper bound for every recipe
 CD_LIVE_MATRICES = 3
 #: Maxwell-Bloch bytes per z node and batch row: the RK4 state with the
 #: field (64), the stage state (48), k1..k4 (192) and seven complex z
@@ -436,19 +436,26 @@ def _cd_rows(recipe: ExperimentRecipe, run_dir: str, base_seed: int):
     A point runs the realizations of its config (see _cd_points) and its
     row holds the mean fitted tau and its standard error; a beta sweep's
     points write no traces.
-    ``spectra`` is shared by every point, so a geometry seen again at
-    another beta is sampled and read once.  A failure ends the sweep after
-    the points before it: the first model error stops the model pass, and
-    the points from the first one that fails to fit on are dropped.
+    Point index k names a geometry: ``spectra`` is shared by every point,
+    so k is sampled and read once, and certified then if any point at k
+    reads S >= 1 - delta.  A failure ends the sweep after the points before
+    it: the first model error stops the model pass, and the points from the
+    first one that fails to fit on are dropped.
     """
     species, n_real = recipe.species, recipe.ensemble.realization_count
+    points = _cd_points(recipe, base_seed)
+    largest = {}
+    for _, k, config in points:
+        suppression = coupled_dipole.suppression_factor(config.gamma_dd(species))
+        largest[k] = max(suppression, largest.get(k, suppression))
     spectra: dict = {}
     done, traces, error = [], [], None
-    for value, k, config in _cd_points(recipe, base_seed):
+    for value, k, config in points:
         sigma_ss = optical_depth_from_geometry(config)
         try:
             result = coupled_dipole.run_ensemble(config, species=species, pulse=recipe.pulse,
-                                                 mode=recipe.mode, spectra=spectra)
+                                                 mode=recipe.mode, spectra=spectra,
+                                                 largest_suppression=largest[k])
             traces += [analysis.trace_from_dipole(tr, sigma_ss) for tr in result.traces]
         except MODEL_ERRORS as exc:
             error = exc

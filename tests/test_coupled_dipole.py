@@ -752,30 +752,40 @@ class TestGramMargin:
 
     def test_close_pair_without_exclusion_always_certifies(self, monkeypatch):
         cfg = EnsembleConfig(atom_count=200, box=(3.0,) * 3, min_pair_separation=0.0)
-        positions = sample_positions(cfg, 1).positions.copy()
+        sampled = sample_positions(cfg, 1)
+        positions = sampled.positions.copy()
         positions[1] = positions[0] + [1e-8, 0.0, 0.0]
         diff = positions[:, None, :] - positions[None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1))[np.triu_indices(200, 1)]
         close = EnsembleRealization(positions=positions, min_pair_distance=float(dist.min()))
         assert _gram_margin(close) >= 1.0
         monkeypatch.setattr(coupled_dipole, "sample_positions", lambda config, seed: close)
+        # the close pair's subradiant mode sits at the rounding level, where
+        # a Cholesky factorization goes either way; the H0 of the sampled
+        # geometry, which it passes, stands in so the S = 1 read can finish
+        monkeypatch.setattr(coupled_dipole, "build_coupling_matrix",
+                            lambda realization, mode: build_coupling_matrix(sampled, mode))
         certified = []
-        monkeypatch.setattr(coupled_dipole, "_certify", certified.append)
+        original = coupled_dipole._certify
+        monkeypatch.setattr(coupled_dipole, "_certify",
+                            lambda h0: certified.append(h0) or original(h0))
         spectrum = realization_spectrum(cfg, 1, suppression=0.0)
         assert len(certified) == 1
         assert spectrum.gram_margin is None
-        assert not spectrum.uncertified_at(1.0)
+        trace = spectral_trace(spectrum, 1.0, 1e-3)
+        assert np.all(np.isfinite(trace.p_normalized))
 
 
 class TestLazyCertificate:
-    """The certificate runs only for reads at S >= 1 - delta, once per spectrum."""
+    """The certificate runs only for a spectrum whose largest read has
+    S >= 1 - delta, once, when the spectrum is made."""
 
     CFG = EnsembleConfig(atom_count=80, box=(3.0, 3.0, 3.0), rng_seed=8)
 
     def test_dephased_read_leaves_the_certificate_for_later(self):
         spectrum = realization_spectrum(self.CFG, 8, suppression=0.5)
-        assert spectrum.gram_margin == _gram_margin(spectrum.realization)
-        assert spectrum.uncertified_at(1.0) and not spectrum.uncertified_at(0.5)
+        margin = _gram_margin(spectrum.realization)
+        assert spectrum.gram_margin == margin
         certified = realization_spectrum(self.CFG, 8)
         assert certified.gram_margin is None
         assert np.array_equal(spectrum.lambda0, certified.lambda0)
@@ -785,6 +795,16 @@ class TestLazyCertificate:
         a = spectral_trace(spectrum, 0.5, 1e-3)
         b = spectral_trace(certified, 0.5, 1e-3)
         assert np.array_equal(a.p_normalized, b.p_normalized)
+        # the rule is strict: S = 1 - delta certifies, the float below it
+        # does not, and that spectrum reads it but not 1 - delta
+        edge = 1.0 - margin
+        below = np.nextafter(edge, 0.0)
+        assert realization_spectrum(self.CFG, 8, suppression=edge).gram_margin is None
+        uncertified = realization_spectrum(self.CFG, 8, suppression=below)
+        assert uncertified.gram_margin == margin
+        spectral_trace(uncertified, below, 1e-3)
+        with pytest.raises(ValueError, match="certificate"):
+            spectral_trace(uncertified, edge, 1e-3)
 
     def test_undephased_read_after_a_dephased_one_certifies_once(self, monkeypatch):
         calls = []
@@ -796,13 +816,27 @@ class TestLazyCertificate:
 
         monkeypatch.setattr(coupled_dipole, "_certify", counting)
         dephased = replace(self.CFG, beta_over_2pi_hz_cm3=9e-5)
+        # passed the largest S, the first (dephased) call certifies at once
         spectra = {}
-        run_realization(dephased, 8, pulse=STEP, spectra=spectra)
-        assert calls == []
+        run_realization(dephased, 8, pulse=STEP, spectra=spectra, largest_suppression=1.0)
+        assert len(calls) == 1
         for cfg in (self.CFG, self.CFG, dephased):
-            run_realization(cfg, 8, pulse=STEP, spectra=spectra)
+            trace, _ = run_realization(cfg, 8, pulse=STEP, spectra=spectra,
+                                       largest_suppression=1.0)
         [spectrum] = spectra.values()
         assert spectrum.gram_margin is None
-        # the reassembled H0 is the one an up-front certificate would see
         assert len(calls) == 1
+        # on the H0 bits that the undephased read alone would certify
         assert np.array_equal(calls[0], build_coupling_matrix(spectrum.realization))
+        alone, _ = run_realization(self.CFG, 8, pulse=STEP)
+        assert len(calls) == 2
+        assert np.array_equal(calls[1], calls[0])
+        undephased, _ = run_realization(self.CFG, 8, pulse=STEP, spectra=spectra)
+        assert np.array_equal(undephased.p_normalized, alone.p_normalized)
+        # not passed it, the dephased call decides from its own S: no
+        # certificate, and a later undephased read is refused
+        spectra = {}
+        run_realization(dephased, 8, pulse=STEP, spectra=spectra)
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="certificate"):
+            run_realization(self.CFG, 8, pulse=STEP, spectra=spectra)

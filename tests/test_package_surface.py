@@ -19,7 +19,7 @@ PACKAGE = ROOT / "src" / "subabsorb"
 ALLOWED = {
     "simulate_transmission": "imported by perfbench/test_checks.py, which tier-1 "
                              "collects; moves under tests/ with the benchmark's stage "
-                             "records (ROADMAP item 4)",
+                             "records (ROADMAP item 7)",
     "synthesize_counts": "the README lists photon-count synthesis as package API",
 }
 
@@ -27,7 +27,7 @@ ALLOWED = {
 #: each with the reason
 ALLOWED_PARAMETERS = {
     **{(function, name): "the function stays only because the benchmark names it, "
-                         "and goes with its grid parameters (ROADMAP item 4)"
+                         "and goes with its grid parameters (ROADMAP item 7)"
        for function in ("propagate_pulse", "simulate_transmission")
        for name in ("t_max", "steps_per_tau", "z_steps")},
     ("synthesize_counts", "bin_width"): "the README lists photon-count synthesis, "

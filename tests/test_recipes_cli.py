@@ -456,7 +456,8 @@ class TestRunRecipe:
 
 
 class TestLazyCertificate:
-    """Sweeps run the positivity certificate only at points with S >= 1 - delta."""
+    """Sweeps run the positivity certificate only for geometries that a point
+    reads at S >= 1 - delta, once each, however the points are ordered."""
 
     ENSEMBLE = EnsembleConfig(atom_count=50, rng_seed=5, realization_count=2)
 
@@ -484,10 +485,16 @@ class TestLazyCertificate:
     def test_undephased_beta_listed_last_certifies_once_with_the_same_rows(
             self, tmp_path, monkeypatch):
         sizes = counting_certificates(monkeypatch)
+        assembled = []
+        original = coupled_dipole.build_coupling_matrix
+        monkeypatch.setattr(coupled_dipole, "build_coupling_matrix",
+                            lambda *args: assembled.append(args) or original(*args))
         late = run_recipe(self.beta_recipe((9e-5, 0.0)), tmp_path / "late")
         assert sizes == [50] * 4          # 2 optical depths x 2 realizations
+        assert len(assembled) == 4        # each geometry assembled once
         early = run_recipe(self.beta_recipe((0.0, 9e-5)), tmp_path / "early")
         assert len(sizes) == 8
+        assert len(assembled) == 8
         assert late == early[2:] + early[:2]
 
 
