@@ -34,6 +34,13 @@ bounded by half the realization's Gram margin delta (_gram_margin).  Before
 a geometry's first read, the largest S it will be read at decides, once,
 whether H0 needs a certificate: at S >= 1 - delta it gets a Cholesky
 factorization, whose failure raises DomainError (_certify).
+
+That decision also sets how H0 is stored.  The certificate needs the dense
+N x N matrix (build_coupling_matrix).  Lanczos needs only products with
+H0, so a geometry read below 1 - delta alone is held as its upper block
+rows of H0_BLOCK_ROWS rows (_h0_block_rows): about N^2/2 + 256 N doubles,
+11.4 MiB at N = 1500 against 17.2 MiB dense.  Every N <= H0_BLOCK_ROWS
+is one block, the dense matrix, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ NORM_BUDGET = 1e-2                # perturbative bound on sum |c_j|^2
 MAX_REJECTIONS = 1_000_000
 SAMPLE_BLOCK = 64                 # candidate positions drawn and tested together
 ASSEMBLY_BLOCK = 64               # rows of H filled per block of pair separations
+#: rows per stored block of an H0 that no certificate reads (_h0_block_rows)
+H0_BLOCK_ROWS = 512
 #: Lanczos stops once the S = 1 readout moves by less than this, relative,
 #: over LANCZOS_STRIDE steps
 LANCZOS_TOL = 1e-13
@@ -215,39 +224,62 @@ def suppression_factor(gamma_dd: float) -> float:
     return 1.0 / (1.0 + gamma_dd**2)
 
 
-def build_coupling_matrix(realization: EnsembleRealization,
-                          mode: str = "vectorial") -> np.ndarray:
-    """Assemble H0: diagonal 1/2, off-diagonals i*F_jk.
+def _h0_block_rows(realization: EnsembleRealization, mode: str,
+                   height: int) -> list[np.ndarray]:
+    """H0 as its upper block rows of ``height`` rows (the last one shorter).
 
-    F is purely imaginary, so H0 is returned as a real float64 matrix, filled
-    with i*F from the real kernel _exchange.  Dephasing enters only in
-    spectral_trace, which maps the nodes of H0's Gauss rule to each S.
+    The block at rows s..e holds columns s..N: its diagonal square, with
+    the lower triangle mirrored in, and the rectangle to the right of it.
+    One block of height N is thus the dense H0; shorter blocks never hold
+    the lower triangle outside their diagonal squares.
 
     Pairs are evaluated from the separation components dx, dy, dz, never as
-    (..., 3) rows: first the triangles of all diagonal blocks of
-    ASSEMBLY_BLOCK rows in one call, then, block by block, the rectangle to
-    the right of each diagonal block, written to the upper triangle and
-    mirrored to the lower one.  The pair temporaries hold at most
+    (..., 3) rows: first the triangles of the block's diagonal pieces of
+    ASSEMBLY_BLOCK rows in one call, then, piece by piece, the rectangle to
+    the right of each, written to the upper triangle and mirrored into the
+    block's diagonal square.  The pair temporaries hold at most
     ASSEMBLY_BLOCK * N pairs.
     """
     x, y, z = realization.positions.T.copy()
     n = len(x)
-    # zeros although every entry is written: with np.empty the peak RSS of
-    # N=1500 sweeps was one N*N matrix higher in 8 of 19 benchmark runs
-    h = np.zeros((n, n))
-    starts = range(0, n, ASSEMBLY_BLOCK)
-    # the triangles of all diagonal blocks, in one call
-    j, k = np.concatenate([np.add(np.triu_indices(min(ASSEMBLY_BLOCK, n - i0), 1), i0)
-                           for i0 in starts], axis=1)
-    h[j, k] = h[k, j] = _exchange(x[j] - x[k], y[j] - y[k], z[j] - z[k], mode)
-    for i0 in starts:
-        i1 = min(i0 + ASSEMBLY_BLOCK, n)
-        block = _exchange(np.subtract.outer(x[i0:i1], x[i1:]),
-                          np.subtract.outer(y[i0:i1], y[i1:]),
-                          np.subtract.outer(z[i0:i1], z[i1:]), mode)
-        h[i0:i1, i1:] = block
-        h[i1:, i0:i1] = block.T
-    np.fill_diagonal(h, 0.5)
+    blocks = []
+    for s in range(0, n, height):
+        # the block in coordinates of atoms s..N: rows 0..m, columns 0..N-s
+        xs, ys, zs = x[s:], y[s:], z[s:]
+        m = min(height, n - s)
+        # zeros although every entry is written: with np.empty the peak RSS
+        # of N=1500 sweeps was one N*N matrix higher in 8 of 19 benchmark runs
+        h = np.zeros((m, n - s))
+        starts = range(0, m, ASSEMBLY_BLOCK)
+        # the triangles of all diagonal pieces, in one call
+        j, k = np.concatenate([np.add(np.triu_indices(min(ASSEMBLY_BLOCK, m - i0), 1), i0)
+                               for i0 in starts], axis=1)
+        h[j, k] = h[k, j] = _exchange(xs[j] - xs[k], ys[j] - ys[k], zs[j] - zs[k], mode)
+        for i0 in starts:
+            i1 = min(i0 + ASSEMBLY_BLOCK, m)
+            piece = _exchange(np.subtract.outer(xs[i0:i1], xs[i1:]),
+                              np.subtract.outer(ys[i0:i1], ys[i1:]),
+                              np.subtract.outer(zs[i0:i1], zs[i1:]), mode)
+            h[i0:i1, i1:] = piece
+            h[i1:, i0:i1] = piece[:, :m - i1].T
+        np.fill_diagonal(h, 0.5)
+        blocks.append(h)
+    return blocks
+
+
+def build_coupling_matrix(realization: EnsembleRealization,
+                          mode: str = "vectorial") -> np.ndarray:
+    """Assemble the dense H0: diagonal 1/2, off-diagonals i*F_jk.
+
+    F is purely imaginary, so H0 is returned as a real float64 matrix, filled
+    with i*F from the real kernel _exchange.  Dephasing enters only in
+    spectral_trace, which maps the nodes of H0's Gauss rule to each S.
+    This is the one block of height N of _h0_block_rows: 8 N^2 bytes
+    (17.2 MiB at N = 1500), which the Cholesky certificate needs; a
+    geometry that no certificate reads is held as H0_BLOCK_ROWS-row blocks
+    instead (realization_spectrum).
+    """
+    (h,) = _h0_block_rows(realization, mode, realization.atom_count)
     return h
 
 
@@ -334,12 +366,13 @@ def _readout(lam: np.ndarray, w: np.ndarray):
     return phi @ w, (phi * phi) @ w, np.sum(w / lam)
 
 
-def _gauss_rule(h0: np.ndarray, b: np.ndarray):
-    """Nodes and weights of the Lanczos Gauss rule of H0 for the drive
-    b = e^{ikz} (N,).
+def _gauss_rule(blocks: list[np.ndarray], b: np.ndarray):
+    """Nodes and weights of the Lanczos Gauss rule of H0, given as its upper
+    block rows (_h0_block_rows), for the drive b = e^{ikz} (N,).
 
-    One matmul per step, on the real and imaginary parts of the newest
-    Lanczos vector, with full reorthogonalization (classical Gram-Schmidt,
+    Each step multiplies the real and imaginary parts of the newest Lanczos
+    vector by H0: one matmul for a dense H0 (one block), two per block
+    otherwise, with full reorthogonalization (classical Gram-Schmidt,
     twice) against every earlier one.  H0 is real symmetric, so T (k x k)
     is real tridiagonal: alpha on its diagonal and the norms beta of the
     new vectors beside it.  T is diagonalized every LANCZOS_STRIDE steps;
@@ -372,7 +405,17 @@ def _gauss_rule(h0: np.ndarray, b: np.ndarray):
     previous = None
     while True:
         q = basis[k - 1]
-        w = np.stack([q.real, q.imag]) @ h0     # (H0 q)^T, H0 being symmetric
+        q2 = np.stack([q.real, q.imag])
+        # (H0 q)^T, H0 being symmetric: the block at rows s..e adds to
+        # columns s..N, and its rectangle, mirrored, to columns s..e
+        w = q2[:, :len(blocks[0])] @ blocks[0]
+        for h in blocks:
+            s = n - h.shape[1]
+            e = s + len(h)
+            if s:
+                w[:, s:] += q2[:, s:e] @ h
+            if e < n:
+                w[:, s:e] += q2[:, e:] @ h[:, e - s:].T
         w = w[0] + 1j * w[1]
         floor = eps_n * np.linalg.norm(w)
         # basis^H w, conjugated twice so the basis is never copied
@@ -403,10 +446,12 @@ def _gauss_rule(h0: np.ndarray, b: np.ndarray):
         k += 1
 
 
-def _gram_margin(realization: EnsembleRealization) -> float:
-    """delta = 2 * a bound on ||computed H0 - exact H0||_2 for the
-    realization's positions: every H(S) with S < 1 - delta assembled from
-    them is positive (its eigenvalues are at least (1 - S)/2 - S*delta/2).
+def _gram_margin(atom_count: int, min_pair_distance: float) -> float:
+    """delta = 2 * a bound on ||computed H0 - exact H0||_2 for N atoms no
+    two of which are closer than d = min_pair_distance: every H(S) with
+    S < 1 - delta assembled from them is positive (its eigenvalues are at
+    least (1 - S)/2 - S*delta/2).  The bound grows as d shrinks, so the
+    pair exclusion in place of d bounds every geometry sampled with it.
 
     With u = eps/2 and every operation, sin, cos and pow rounded to within
     1 ulp, a first-order tally over _exchange gives, per entry at x = k r:
@@ -422,14 +467,13 @@ def _gram_margin(realization: EnsembleRealization) -> float:
       absolute (the factor 2 is |1 - 3 cos^2|).
     That is about 17 eps (1 + x^-2); GRAM_ROUNDING = 32 doubles it for the
     second-order terms and kernels of up to 2 ulp.  Every pair is at least
-    min_pair_distance d apart and the diagonal is exact, so the 2-norm,
+    d apart and the diagonal is exact, so the 2-norm,
     at most the largest row sum of |error|, is below
     N * GRAM_ROUNDING * eps * (1 + (k d)^-2).  At N = 200 a pair closer
     than 2.6e-7 lambda makes delta >= 1, and every read is then certified.
     """
-    near = 1.0 / (K_A * realization.min_pair_distance)
-    return (2.0 * realization.atom_count * GRAM_ROUNDING * np.finfo(float).eps
-            * (1.0 + near * near))
+    near = 1.0 / (K_A * min_pair_distance)
+    return 2.0 * atom_count * GRAM_ROUNDING * np.finfo(float).eps * (1.0 + near * near)
 
 
 def _certify(h0: np.ndarray) -> None:
@@ -442,15 +486,18 @@ def _certify(h0: np.ndarray) -> None:
                           "factorization of H0 failed") from exc
 
 
-def _spectrum(realization: EnsembleRealization, h0: np.ndarray,
+def _spectrum(realization: EnsembleRealization, blocks: list[np.ndarray],
               gram_margin: float | None = None) -> RealizationSpectrum:
-    """The Gauss rule of H0 for the realization's drive, and its positivity.
+    """The Gauss rule of H0, given as its upper block rows (_h0_block_rows),
+    for the realization's drive, and its positivity.
 
-    H0 is certified now unless gram_margin is given, which only an H0 from
-    build_coupling_matrix may claim, and only for reads below 1 - gram_margin.
+    H0 is certified now unless gram_margin is given, which only an H0
+    assembled from the realization may claim, and only for reads below
+    1 - gram_margin.  A certified H0 is one dense block ([h0]).
     """
-    lambda0, weights = _gauss_rule(h0, np.exp(1j * K_A * realization.positions[:, 2]))
+    lambda0, weights = _gauss_rule(blocks, np.exp(1j * K_A * realization.positions[:, 2]))
     if gram_margin is None:
+        (h0,) = blocks
         _certify(h0)
     return RealizationSpectrum(realization=realization, lambda0=lambda0, weights=weights,
                                gram_margin=gram_margin)
@@ -462,13 +509,18 @@ def realization_spectrum(config: EnsembleConfig, seed: int, mode: str = "vectori
 
     ``suppression`` is the largest S that any read of the spectrum will
     make.  H0 is certified now, once, when it is at least 1 - delta
-    (_gram_margin); below that the Gram bound proves every such read
-    positive and no certificate runs.  The default certifies.
+    (_gram_margin); it is then assembled dense (build_coupling_matrix), as
+    the Cholesky factorization needs.  Below that the Gram bound proves
+    every such read positive, no certificate runs, and H0 is held as its
+    upper block rows of H0_BLOCK_ROWS rows, which Lanczos alone reads.  The
+    default certifies.
     """
     realization = sample_positions(config, seed)
-    h0 = build_coupling_matrix(realization, mode)
-    margin = _gram_margin(realization)
-    return _spectrum(realization, h0, margin if suppression < 1.0 - margin else None)
+    margin = _gram_margin(realization.atom_count, realization.min_pair_distance)
+    if suppression < 1.0 - margin:
+        return _spectrum(realization, _h0_block_rows(realization, mode, H0_BLOCK_ROWS),
+                         margin)
+    return _spectrum(realization, [build_coupling_matrix(realization, mode)])
 
 
 def spectral_trace(spectrum: RealizationSpectrum, suppression: float,

@@ -41,16 +41,18 @@ DEFAULT_OD_GRID = tuple(float(x) for x in np.geomspace(0.02, 2.0, 20))
 #: largest estimated peak memory (bytes) of a recipe; anything above it is
 #: refused at load.  Catalog recipes are estimated at 15 MiB or less (the
 #: 1200 traces of fig7_beta and fig9_scalar_vs_vectorial, fitted in one
-#: block; every other recipe 6 MiB or less) and an N = 1500 collective
-#: sweep at 52 MiB, counting the two certificate arrays although a sweep
-#: that reads no point at S >= 1 - delta never holds them; 2 GiB admits N
-#: up to about 9400
+#: block; every other recipe 6 MiB or less).  An N = 1500 collective sweep
+#: is estimated at 52 MiB when a point may read S >= 1 - delta (beta = 0),
+#: and at 18.8 MiB when every read is provably below it (peak_bytes), as at
+#: the best-fit beta; 2 GiB admits N up to about 9400 for the first kind
+#: and about 22 300 for the second
 MEMORY_BUDGET = 2 * 1024**3
-#: N x N float64 arrays live at once in a collective realization: H0, and,
-#: only for a geometry some point reads at S >= 1 - delta (beta = 0), the
-#: input copy and the factor of its Cholesky certificate.  A failed
-#: factorization ends the point, so no eigensolver workspace follows it:
-#: an upper bound for every recipe
+#: N x N float64 arrays live at once in a collective realization that may
+#: be certified: the dense H0, the input copy and the factor of its
+#: Cholesky certificate.  A failed factorization ends the point, so no
+#: eigensolver workspace follows it: an upper bound for every recipe.  A
+#: sweep that provably certifies nothing holds H0 as block rows instead,
+#: about half of one such array (peak_bytes)
 CD_LIVE_MATRICES = 3
 #: Maxwell-Bloch bytes per z node and batch row: the RK4 state with the
 #: field (64), the stage state (48), k1..k4 (192) and seven complex z
@@ -163,10 +165,19 @@ def peak_bytes(recipe: ExperimentRecipe) -> int:
 
     Collective: every point's EnsembleConfig is built (_cd_points), so a
     geometry it refuses raises DomainError here.  The estimate is the
-    larger of the model pass, CD_LIVE_MATRICES N x N float64 arrays, and
-    the fit, which holds every realization's dipole trace and its sigma and
-    u_sigma, each point's mean and standard error on T_POINTS, and one fit
-    block (analysis.fit_peak_bytes).
+    larger of the model pass and the fit.  The model pass is
+    CD_LIVE_MATRICES N x N float64 arrays, unless every point provably
+    reads its geometry uncertified: sampling keeps every pair at least the
+    pair exclusion apart, so the Gram margin at the exclusion bounds every
+    geometry's delta, and a sweep whose largest S is below 1 minus that
+    margin holds H0 as its upper block rows (coupled_dipole.H0_BLOCK_ROWS).
+    It is then charged those rows and the ten pair arrays of the widest
+    ASSEMBLY_BLOCK x N assembly piece (_exchange's three separation
+    components and seven more); the Lanczos vectors, 16 bytes per atom
+    each, stay below that up to 128 steps (the sweeps here take tens).  A
+    zero exclusion proves nothing.  The fit holds every realization's
+    dipole trace and its sigma and u_sigma, each point's mean and standard
+    error on T_POINTS, and one fit block (analysis.fit_peak_bytes).
     Maxwell-Bloch: the largest batch of points sharing a z grid, each row
     holding its recorded planes (both ends, or every node with
     ``dump_grid``) and the larger of its RK4 buffers (z_steps + 1 nodes and
@@ -174,10 +185,17 @@ def peak_bytes(recipe: ExperimentRecipe) -> int:
     intensities, sigma and u_sigma at every time level, and the fit block.
     """
     if recipe.model == "coupled_dipole":
-        points = len(_cd_points(recipe, recipe.ensemble.rng_seed))
-        rows = points * recipe.ensemble.realization_count
+        configs = [config for _, _, config in _cd_points(recipe, recipe.ensemble.rng_seed)]
+        points, rows = len(configs), len(configs) * recipe.ensemble.realization_count
+        n, r_min = recipe.ensemble.atom_count, recipe.ensemble.min_pair_separation
+        model = CD_LIVE_MATRICES * 8 * n**2
+        if r_min > 0 and max(coupled_dipole.suppression_factor(c.gamma_dd(recipe.species))
+                             for c in configs) < 1.0 - coupled_dipole._gram_margin(n, r_min):
+            height = coupled_dipole.H0_BLOCK_ROWS
+            model = 8 * (sum(min(height, n - s) * (n - s) for s in range(0, n, height))
+                         + 10 * coupled_dipole.ASSEMBLY_BLOCK * n)
         t = coupled_dipole.T_POINTS
-        return max(CD_LIVE_MATRICES * 8 * recipe.ensemble.atom_count**2,
+        return max(model,
                    (3 * rows + 2 * points) * 8 * len(t) + analysis.fit_peak_bytes(t, rows))
     t_steps = round(maxwell_bloch.DEFAULT_STEPS_PER_TAU * maxwell_bloch.DEFAULT_T_MAX) + 1
     t = np.linspace(0.0, maxwell_bloch.DEFAULT_T_MAX, t_steps)

@@ -11,8 +11,9 @@ from subabsorb.core import (AtomicSpecies, DomainError, EnsembleConfig, PulseSha
                             box_side_for_sigma_ss)
 from subabsorb.coupled_dipole import (GRAM_ROUNDING, SAMPLE_BLOCK, DensityTooHighError,
                                       EnsembleRealization, PerturbativeBoundError,
-                                      T_POINTS, _exchange, _gram_margin, _readout,
-                                      _spectrum, build_coupling_matrix,
+                                      H0_BLOCK_ROWS, T_POINTS, _exchange, _gram_margin,
+                                      _h0_block_rows, _readout, _spectrum,
+                                      build_coupling_matrix,
                                       dipole_trace, evolve_closed_form,
                                       realization_spectrum, run_ensemble,
                                       run_realization, sample_positions, spectral_trace,
@@ -277,7 +278,7 @@ class TestCouplingMatrix:
         np.testing.assert_allclose(trace.p_normalized, ref.p_normalized, rtol=0, atol=1e-13)
         assert trace.steady_state_raw == pytest.approx(ref.steady_state_raw, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2, 64, 65, 200])
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 200, 700])
     @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
     def test_blocked_assembly_matches_all_pairs_reference(self, n, mode):
         # references: every pair at once through triu_indices, mirrored, from
@@ -289,12 +290,19 @@ class TestCouplingMatrix:
         d = pos[iu[0]] - pos[iu[1]]
         built = build_coupling_matrix(r, mode=mode)
         assert built.dtype == np.float64
+        # the stored block rows are the upper rows of H0 from the diagonal
+        # on: N = 700 is one block of 512 rows and one of 188
+        blocks = _h0_block_rows(r, mode, H0_BLOCK_ROWS)
+        assert [len(h) for h in blocks] == [min(H0_BLOCK_ROWS, n - s)
+                                            for s in range(0, n, H0_BLOCK_ROWS)]
         for i_f in (exchange(d, mode=mode), (1j * textbook_coupling_f(d, mode=mode)).real):
             expected = np.zeros((n, n))
             expected[iu] = i_f
             expected[(iu[1], iu[0])] = i_f
             np.fill_diagonal(expected, 0.5)
             np.testing.assert_array_equal(built, expected)
+            for s, h in zip(range(0, n, H0_BLOCK_ROWS), blocks):
+                np.testing.assert_array_equal(h, expected[s:s + H0_BLOCK_ROWS, s:])
 
     def test_large_dephasing_decouples(self):
         # S = 1/(1 + 10^12): every atom rises alone, as 1 - e^{-t/2}
@@ -587,18 +595,23 @@ class TestLanczosReadout:
     """The Gauss rule of realization_spectrum against a full eigendecomposition."""
 
     @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
-    @pytest.mark.parametrize("n, seed", [(300, 1), (400, 2), (500, 3)])
-    def test_dense_geometries_match_eigh_at_every_beta(self, n, seed, mode):
+    @pytest.mark.parametrize("n, seed, betas", [(300, 1, BETA_SET), (400, 2, BETA_SET),
+                                                (500, 3, BETA_SET), (700, 4, BETA_SET[1:])],
+                             ids=["300-1", "400-2", "500-3", "700-4"])
+    def test_dense_geometries_match_eigh_at_every_beta(self, n, seed, betas, mode):
+        # read without beta = 0, the N = 700 geometry is uncertified, and
+        # Lanczos reads H0 as block rows of 512 and 188
         side = box_side_for_sigma_ss(2.0, n)
         cfg = EnsembleConfig(atom_count=n, box=(side, side, side))
-        spectrum = realization_spectrum(cfg, seed, mode=mode)
+        suppressions = [suppression_factor(
+            replace(cfg, beta_over_2pi_hz_cm3=beta).gamma_dd(AtomicSpecies())) for beta in betas]
+        spectrum = realization_spectrum(cfg, seed, mode=mode, suppression=max(suppressions))
+        assert (spectrum.gram_margin is None) == (0.0 in betas)
         assert len(spectrum.lambda0) <= n
         reference = eigh_reference(spectrum, mode)
-        for beta in BETA_SET:
-            suppression = suppression_factor(
-                replace(cfg, beta_over_2pi_hz_cm3=beta).gamma_dd(AtomicSpecies()))
+        for suppression in suppressions:
             assert_same_readout(spectrum, reference, suppression, rtol=1e-12)
-        again = realization_spectrum(cfg, seed, mode=mode)
+        again = realization_spectrum(cfg, seed, mode=mode, suppression=max(suppressions))
         assert np.array_equal(again.lambda0, spectrum.lambda0)
         assert np.array_equal(again.weights, spectrum.weights)
 
@@ -630,7 +643,7 @@ class TestLanczosReadout:
         positions = np.array([[0.0, 0.0, 0.3], [0.4, 0.1, 0.3], [0.1, 0.5, 0.3]])
         realization = EnsembleRealization(positions=positions, min_pair_distance=0.4)
         h0 = build_coupling_matrix(realization)
-        spectrum = _spectrum(realization, h0)
+        spectrum = _spectrum(realization, [h0])
         assert len(spectrum.lambda0) == 3
         assert_same_readout(spectrum, eigh_reference(spectrum, "vectorial"), 1.0,
                             rtol=1e-12)
@@ -655,7 +668,7 @@ class TestLanczosReadout:
         lam = np.concatenate([[0.3, 0.8, 1.4], rng.uniform(0.2, 1.5, size=n - 3)])
         h0 = (q * lam) @ q.T
         h0 = 0.5 * (h0 + h0.T)
-        spectrum = _spectrum(realization, h0)
+        spectrum = _spectrum(realization, [h0])
         assert len(spectrum.lambda0) == 3
         values, vecs = np.linalg.eigh(h0)
         weights = np.sum((vecs.T @ drive) ** 2, axis=1)
@@ -689,10 +702,11 @@ class TestLanczosReadout:
         h0 = 0.5 * (h0 + h0.T)
         assert np.linalg.eigvalsh(h0)[0] == pytest.approx(lam_neg, abs=1e-12)
         # the rule alone cannot see it: uncertified, its nodes are all positive
-        uncertified = _spectrum(realization, h0, gram_margin=_gram_margin(realization))
+        margin = _gram_margin(realization.atom_count, realization.min_pair_distance)
+        uncertified = _spectrum(realization, [h0], gram_margin=margin)
         assert uncertified.lambda0[0] > 0
         with pytest.raises(DomainError, match="not positive"):
-            _spectrum(realization, h0)
+            _spectrum(realization, [h0])
 
     def test_sampled_geometries_are_certified(self):
         for n, sigma_ss, mode in [(60, 0.05, "vectorial"), (300, 2.0, "scalar")]:
@@ -743,7 +757,7 @@ class TestGramMargin:
                 cfg = EnsembleConfig(atom_count=n, box=(side,) * 3, min_pair_separation=r_min)
                 realization = sample_positions(cfg, seed)
                 lam = np.linalg.eigvalsh(build_coupling_matrix(realization, mode=mode))[0]
-                margin = _gram_margin(realization)
+                margin = _gram_margin(realization.atom_count, realization.min_pair_distance)
                 assert lam >= -margin / 2
                 assert margin < 1e-3
                 lowest.append(lam)
@@ -758,7 +772,7 @@ class TestGramMargin:
         diff = positions[:, None, :] - positions[None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1))[np.triu_indices(200, 1)]
         close = EnsembleRealization(positions=positions, min_pair_distance=float(dist.min()))
-        assert _gram_margin(close) >= 1.0
+        assert _gram_margin(close.atom_count, close.min_pair_distance) >= 1.0
         monkeypatch.setattr(coupled_dipole, "sample_positions", lambda config, seed: close)
         # the close pair's subradiant mode sits at the rounding level, where
         # a Cholesky factorization goes either way; the H0 of the sampled
@@ -784,7 +798,8 @@ class TestLazyCertificate:
 
     def test_dephased_read_leaves_the_certificate_for_later(self):
         spectrum = realization_spectrum(self.CFG, 8, suppression=0.5)
-        margin = _gram_margin(spectrum.realization)
+        margin = _gram_margin(spectrum.realization.atom_count,
+                              spectrum.realization.min_pair_distance)
         assert spectrum.gram_margin == margin
         certified = realization_spectrum(self.CFG, 8)
         assert certified.gram_margin is None

@@ -216,6 +216,32 @@ class TestCatalog:
         # an upper bound, and not a loose one
         assert 0.75 * estimate < peak < estimate
 
+    def test_estimate_bounds_an_uncertified_collective_peak(self):
+        # fig4b_best_beta's beta at N = 1500: every read is provably below
+        # 1 - delta, so H0 is held as block rows and the estimate charges
+        # them; the model pass is traced after a warm-up call
+        catalog = get_recipe("fig4b_best_beta")
+        recipe = replace(catalog, name="x", sweep_values=(1.5,),
+                         ensemble=replace(catalog.ensemble, atom_count=1500,
+                                          realization_count=1))
+        [(_, _, config)] = recipes._cd_points(recipe, recipe.ensemble.rng_seed)
+        suppression = coupled_dipole.suppression_factor(config.gamma_dd(recipe.species))
+        coupled_dipole.realization_spectrum(config, config.rng_seed, suppression=suppression)
+        tracemalloc.start()
+        try:
+            spectrum = coupled_dipole.realization_spectrum(config, config.rng_seed,
+                                                           suppression=suppression)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.gram_margin is not None
+        estimate = recipes.peak_bytes(recipe)
+        # an upper bound, and not a loose one
+        assert 0.75 * estimate < peak < estimate
+        # a zero exclusion proves nothing: the certificate arrays are charged
+        unproven = replace(recipe, ensemble=replace(recipe.ensemble, min_pair_separation=0.0))
+        assert recipes.peak_bytes(unproven) == recipes.CD_LIVE_MATRICES * 8 * 1500**2
+
     @pytest.mark.parametrize("model,parameter", [("coupled_dipole", "detuning"),
                                                  ("maxwell_bloch", "beta"),
                                                  ("maxwell_bloch", "box_side")])
