@@ -35,12 +35,13 @@ TAIL_FRACTION = 0.125            # trailing part of the window used for the
                                  # steady-state estimate
 MAX_FAILURE_FRACTION = 0.01      # Monte-Carlo refits allowed to fail
 #: (block rows, window points) float64 arrays alive at once at the peak of a
-#: block of fitted rows: the rows, their y w^2, the exponential and its two
-#: products, the copy made when converged rows are dropped and the residual
-#: of the rows that leave.  tracemalloc measures 6.7 to 7.4 for blocks of
-#: MC_BLOCK Monte-Carlo refits (91 and 45 window points, 10^4 and 4 x 10^4
-#: resamples), and 7.5 for fit_rise_times on 1200 and 2048 collective
-#: traces (141 window points)
+#: block of fitted rows: the rows, their y w^2, and the exponential and its
+#: two products, whose rows also take the residuals of the rows that leave;
+#: beside them, the rows moved into freed slots and a few dozen per-row
+#: vectors.  tracemalloc measures 6.1 to 6.9 for blocks of MC_BLOCK
+#: Monte-Carlo refits (92 and 45 window points, 10^4 and 4 x 10^4
+#: resamples), and 6.7 to 6.8 for fit_rise_times on 1200 and 2048
+#: collective traces (141 window points)
 MC_LIVE_ROW_ARRAYS = 8
 #: rows fitted together: Monte-Carlo resamples drawn and refitted at once,
 #: and the traces of one fit_rise_times block (a sweep, or one z-grid batch
@@ -146,20 +147,24 @@ def _box_solve2(h, g, box):
     vector, the way q falls; a row that is not finite gets a box point."""
     h00, h11, h01 = h
     lo, hi = box
+    h_o, g_o, lo_o, hi_o = h[1::-1], g[::-1], lo[::-1], hi[::-1]
+    # the held and free coordinates of both edge points, as rows (held_0,
+    # free_0, free_1, held_1): the point that holds x_j is z[2j:2j + 2]
+    z = np.empty((4, h.shape[1]))
+    held, free = z[::3], z[1:3]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = h00 * h11 - h01 * h01
-        x = np.array([h11 * g[0] - h01 * g[1], h00 * g[1] - h01 * g[0]])
+        x = h_o * g - h01 * g_o
         x = np.divide(x, det, where=det > 0, out=x * np.inf)
-        held = np.fmin(np.fmax(x, lo), hi)          # a NaN takes the lower bound
-        inside = (held == x).all(axis=0)
-        h_o, g_o, lo_o, hi_o = h[1::-1], g[::-1], lo[::-1], hi[::-1]
+        np.fmin(np.fmax(x, lo), hi, out=held)       # a NaN takes the lower bound
+        inside = held == x
+        inside = inside[0] & inside[1]
         slope = g_o - h01 * held
         # a flat or undefined 1-D minimum takes the bound its slope points to
-        free = np.divide(slope, h_o, where=h_o > 0, out=np.where(slope > 0, hi_o, lo_o))
-        free = np.fmin(np.fmax(free, lo_o), hi_o)
+        line_min = np.divide(slope, h_o, where=h_o > 0, out=np.where(slope > 0, hi_o, lo_o))
+        np.fmin(np.fmax(line_min, lo_o), hi_o, out=free)
         q = held * (0.5 * h[:2] * held - g) + free * (0.5 * h_o * free - slope)
-        edge = np.where(q[1] < q[0], np.array([free[1], held[1]]), np.array([held[0], free[0]]))
-        return np.where(inside, x, edge)
+        return np.where(inside, x, np.where(q[1] < q[0], z[2:], z[:2]))
 
 
 def _fit_batch(t, y, w, p0, lo, hi, t0):
@@ -175,18 +180,23 @@ def _fit_batch(t, y, w, p0, lo, hi, t0):
     free levels, or Gauss-Newton where that is not positive.  A bracket
     from the gradient's sign holds the step; one that leaves it bisects
     the bracket, or lands on the tau box where the bracket ends there.  A
-    row converges, and is dropped, at the iteration after a step below
-    1e-8 tau or at a zero step or gradient.  Each per-row sum is a moment
-    of e or e^2 against w^2 (t - t0)^k or of e y w^2 against (t - t0)^k,
-    taken row by row with einsum, so no row depends on the rest of its
-    batch; weights shared by all rows (a stride-0 w) stay one row.
+    row converges at the iteration after a step below 1e-8 tau or at a
+    zero step or gradient.  The rows still iterating hold the first n slots
+    of buffers allocated once: a row that leaves writes its results, and an
+    active row from beyond the new n moves into its slot, so each leave
+    moves only as many rows as left.  Each per-row sum is a moment of e or
+    e^2 against w^2 (t - t0)^k or of e y w^2 against (t - t0)^k, taken row
+    by row with einsum, so no row depends on the rest of its batch or on
+    its slot; weights shared by all rows (a stride-0 w) stay one (3, T)
+    matrix of w^2 (t - t0)^k.
     """
     b, n_t = y.shape
     dt = t - t0
+    neg_dt = -dt
     powers = np.stack([np.ones_like(dt), dt, dt * dt])
     shared = w.strides[0] == 0
     w2 = w[:1] ** 2 if shared else w ** 2
-    wk = powers[:, None] * w2              # w^2 (t - t0)^k: (3, 1 or B, T)
+    wk = powers * w2[0] if shared else powers[:, None] * w2   # w^2 (t - t0)^k
     yw2 = y * w2
     p = np.clip(p0, lo, hi)
     # per-row state: tau, the bracket of its minimum, the tau box, sum w^2,
@@ -195,67 +205,106 @@ def _fit_batch(t, y, w, p0, lo, hi, t0):
                       np.broadcast_to(np.einsum('bt->b', w2), (b,)), np.einsum('bt->b', yw2),
                       lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1]])
     cost, converged, iterations = np.full(b, np.nan), np.zeros(b, bool), np.zeros(b, int)
-    # the working set of rows, compacted whenever some leave
+    # the working set: the first n slots of state, yw2, rows, small and a
+    # per-row wk
     rows = np.flatnonzero(np.isfinite(state[5]) & np.isfinite(state[6]))
-    state, yw2, wk = state[:, rows], yw2[rows], wk if shared else wk[:, rows]
-    small = np.zeros(rows.size, dtype=bool)      # the last step was below 1e-8 tau
-    e_buf = np.empty((3, rows.size, n_t))
+    n = rows.size
+    if n < b:
+        state[:, :n], yw2[:n] = state[:, rows], yw2[rows]
+        if not shared:
+            wk[:, :n] = wk[:, rows]
+    small = np.zeros(n, dtype=bool)      # the last step was below 1e-8 tau
+    e_buf = np.empty((3, n, n_t))
+    hg_buf = np.empty((5, n))            # h and g of _box_solve2
+    u_buf = np.empty((2, 2, n))          # u0 and u1, both (exact; Gauss-Newton)
+    x_buf = np.zeros((2, n))             # a term of the exact curvature; row 1 stays 0
     for it in range(MAX_ITERATIONS):
-        if rows.size == 0:
+        if n == 0:
             break
-        n = rows.size
-        tau, lo_b, hi_b, lo_tau, hi_tau, s0, ysum = state[:7]
-        box = state[7:].reshape(2, 2, n)
+        tau, lo_b, hi_b, lo_tau, hi_tau, s0, ysum = state[:7, :n]
+        box = state[7:, :n].reshape(2, 2, n)
         e, e2, ye = e_buf[:, :n]
-        np.divide(-dt, tau[:, None], out=e)
+        np.divide(neg_dt, tau[:, None], out=e)
         np.exp(e, out=e)
         np.multiply(e, e, out=e2)
-        np.multiply(e, yw2, out=ye)
-        a0, a1, a2 = np.einsum('bt,kbt->kb', e, wk)
-        b0, b1, b2 = np.einsum('bt,kbt->kb', e2, wk)
+        np.multiply(e, yw2[:n], out=ye)
+        if shared:
+            a0, a1, a2 = np.einsum('bt,kt->kb', e, wk)
+            b0, b1, b2 = np.einsum('bt,kt->kb', e2, wk)
+        else:
+            a0, a1, a2 = np.einsum('bt,kbt->kb', e, wk[:, :n])
+            b0, b1, b2 = np.einsum('bt,kbt->kb', e2, wk[:, :n])
         y0, y1, y2 = np.einsum('bt,kt->kb', ye, powers)
-        h = np.array([s0 - 2.0 * a0 + b0, b0, a0 - b0])
-        s_ss, s_init = levels = _box_solve2(h, np.array([ysum - y0, y0]), box)
+        hg = hg_buf[:, :n]
+        h, g = hg[:3], hg[3:]
+        np.subtract(s0, 2.0 * a0, out=hg[0])
+        hg[0] += b0
+        hg[1] = b0
+        np.subtract(a0, b0, out=hg[2])
+        np.subtract(ysum, y0, out=hg[3])
+        hg[4] = y0
+        s_ss, s_init = levels = _box_solve2(h, g, box)
         c = s_init - s_ss
+        cb1 = c * b1
         # sums of w^2 r e (t - t0)^k, k = 1, 2, r the unweighted residual
-        r1 = s_ss * a1 + c * b1 - y1
+        r1 = s_ss * a1 + cb1 - y1
         r2 = s_ss * a2 + c * b2 - y2
         # gradient and curvature (exact; Gauss-Newton) times tau^2/2 and tau^4/2
         grad = c * r1
         free = (box[0] < levels) & (levels < box[1])
-        u0 = np.array([c * (a1 - b1) - r1, c * (a1 - b1)]) * free[0]
-        u1 = np.array([c * b1 + r1, c * b1]) * free[1]
+        u = u_buf[:, :, :n]
+        np.multiply(c, a1 - b1, out=u[0, 1])
+        np.subtract(u[0, 1], r1, out=u[0, 0])
+        np.add(cb1, r1, out=u[1, 0])
+        u[1, 1] = cb1
+        u *= free[:, None]
+        u0, u1 = u
         m00, m11 = np.where(free, h[:2], 1.0)
         m01 = h[2] * (free[0] & free[1])
+        x = x_buf[:, :n]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            curv = (c * c * b2 + np.array([c * (r2 - 2.0 * tau * r1), np.zeros_like(c)])
-                    - (m11 * u0 * u0 - 2.0 * m01 * u0 * u1 + m00 * u1 * u1)
+            np.multiply(c, r2 - 2.0 * tau * r1, out=x[0])
+            curv = (c * c * b2 + x - (m11 * u0 * u0 - 2.0 * m01 * u0 * u1 + m00 * u1 * u1)
                     / (m00 * m11 - m01 * m01))
             step = -grad * tau * tau / np.where(curv[0] > 0, curv[0], curv[1])
         # the minimum lies on the descent side of tau
-        hi_b = np.where(grad > 0, tau, hi_b)
-        lo_b = np.where(grad < 0, tau, lo_b)
+        np.copyto(hi_b, tau, where=grad > 0)
+        np.copyto(lo_b, tau, where=grad < 0)
         new = tau + step
         out = ~((new > lo_b) & (new < hi_b))
         at_box = np.where(step > 0, hi_b == hi_tau, lo_b == lo_tau)
-        new = np.where(out, np.where(at_box, np.clip(new, lo_b, hi_b), 0.5 * (lo_b + hi_b)), new)
-        newly = small | (new == tau) | (grad == 0)
+        new = np.where(out, np.where(at_box, np.minimum(np.maximum(new, lo_b), hi_b),
+                                     0.5 * (lo_b + hi_b)), new)
+        newly = small[:n] | (new == tau) | (grad == 0)
         # leaving rows keep this iteration's levels, tau and cost
         leave = newly | (it + 1 == MAX_ITERATIONS)
-        if leave.any():
-            done = rows[leave]
-            r = s_ss[leave, None] + c[leave, None] * e[leave] - y[done]
-            cost[done] = np.einsum('bt,bt->b', r * np.broadcast_to(wk[0], (n, n_t))[leave], r)
-            p[done] = np.array([s_ss[leave], s_init[leave], tau[leave]]).T
+        gone = leave.nonzero()[0]
+        if gone.size:
+            done = rows[gone]
+            # their residuals and weighted residuals, in the rows of e^2
+            # and e y w^2, which this iteration no longer reads
+            r, rw = e_buf[1:, :gone.size]
+            np.take(e, gone, axis=0, out=r)
+            r *= c[gone, None]
+            r += s_ss[gone, None]
+            r -= np.take(y, done, axis=0, out=rw)
+            np.multiply(r, wk[0] if shared else wk[0, gone], out=rw)
+            cost[done] = np.einsum('bt,bt->b', rw, r)
+            p[done, 0], p[done, 1], p[done, 2] = s_ss[gone], s_init[gone], tau[gone]
             iterations[done] = it + 1
-            converged[done] = newly[leave]
-            keep = ~leave
-            rows, new, lo_b, hi_b, yw2 = (x[keep] for x in (rows, new, lo_b, hi_b, yw2))
-            state = state[:, keep]
-            if not shared:
-                wk = wk[:, keep]
-        small = np.abs(new - state[0]) < 1e-8 * state[0]
-        state[0], state[1], state[2] = new, lo_b, hi_b
+            converged[done] = newly[gone]
+        np.less(np.abs(new - tau), 1e-8 * tau, out=small[:n])
+        tau[:] = new
+        if gone.size:
+            # the active rows from the tail take the slots of those that left
+            n -= gone.size
+            movers = n + (~leave[n:]).nonzero()[0]
+            if movers.size:
+                holes = gone[:movers.size]
+                state[:, holes], yw2[holes], rows[holes], small[holes] = (
+                    state[:, movers], yw2[movers], rows[movers], small[movers])
+                if not shared:
+                    wk[:, holes] = wk[:, movers]
     return p, cost, iterations, converged
 
 
@@ -411,14 +460,15 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     All noise comes from one stream: resample i adds row i of
     ``np.random.default_rng(seed).standard_normal((resamples, T))``, scaled
     by u_sigma, to the T window points, so the first R rows of a longer run
-    are the R-resample run.  The rows are drawn and refitted MC_BLOCK at a
-    time, which draws the same stream, and only the taus of the converged
-    refits are kept between blocks.  The perturbed rows go through the same
-    fit core as fit_rise_times, weighted by the trace's own u_sigma, so each
-    refit's estimates, boxes and start are those of a direct fit of that
-    row.  Returns the standard deviation of the tau sample.  A trace with
-    no positive uncertainty inside the window returns exactly 0 without
-    refitting, whatever the uncertainties outside it.
+    are the R-resample run.  The rows are drawn into one reused buffer and
+    refitted MC_BLOCK at a time, which draws the same stream, and only the
+    taus of the converged refits are kept between blocks.  The perturbed
+    rows go through the same fit core as fit_rise_times, weighted by the
+    trace's own u_sigma, so each refit's estimates, boxes and start are
+    those of a direct fit of that row.  Returns the standard deviation of
+    the tau sample.  A trace with no positive uncertainty inside the window
+    returns exactly 0 without refitting, whatever the uncertainties outside
+    it.
     A refit that does not converge, or ends with a non-finite cost or
     parameter, counts as failed; more than MAX_FAILURE_FRACTION failures
     raise FitError.  Fewer than 2 resamples raise DomainError, since they
@@ -438,8 +488,9 @@ def monte_carlo_uncertainty(trace: OpticalDepthTrace, resamples: int = 10_000,
     rng = np.random.default_rng(seed)
     taus = np.empty(resamples)       # taus of the refits that passed, in row order
     kept = 0
+    noise = np.empty((min(MC_BLOCK, resamples), len(uw)))
     for start in range(0, resamples, MC_BLOCK):
-        pert = rng.standard_normal((min(MC_BLOCK, resamples - start), len(uw)))
+        pert = rng.standard_normal(out=noise[:min(MC_BLOCK, resamples - start)])
         pert *= uw
         pert += yw
         p, cost, _, ok = _fit_rows(tw, pert, uw)[:4]

@@ -404,8 +404,7 @@ def _gauss_rule(blocks: list[np.ndarray], b: np.ndarray):
     k = 1
     previous = None
     while True:
-        q = basis[k - 1]
-        q2 = np.stack([q.real, q.imag])
+        q2 = np.stack([basis[k - 1].real, basis[k - 1].imag])
         # (H0 q)^T, H0 being symmetric: the block at rows s..e adds to
         # columns s..N, and its rectangle, mirrored, to columns s..e
         w = q2[:, :len(blocks[0])] @ blocks[0]
@@ -439,8 +438,10 @@ def _gauss_rule(blocks: list[np.ndarray], b: np.ndarray):
                 return nodes, weights
             previous = readout
         if k == cap:
+            # grown in place (realloc), so the old rows are never copied
+            # beside the new buffer; no view of the basis is alive here
             cap = min(n, 2 * cap)
-            basis = np.concatenate([basis, np.empty((cap - k, n), dtype=complex)])
+            basis.resize((cap, n), refcheck=False)
         beta.append(size)
         basis[k] = w / size
         k += 1

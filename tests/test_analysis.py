@@ -528,23 +528,45 @@ class TestMonteCarloUncertainty:
         assert fit.tau_uncertainty is not None and fit.tau_uncertainty > 0
         assert abs(fit.tau - 2.0) < 3.0 * fit.tau_uncertainty
 
-    def test_batch_rows_match_single_row_fits(self):
+    @pytest.mark.parametrize("case", ["shared", "per_row", "non_finite", "leave_together",
+                                      "last_slot_first", "max_iterations"])
+    def test_batch_rows_match_single_row_fits(self, case, monkeypatch):
         # MC-style perturbations converge after different numbers of
-        # iterations; dropping converged rows from later iterations must
-        # leave every row exactly as it comes out when fitted alone
+        # iterations; the rows that leave hand their slots to rows from the
+        # tail, and every row must come out exactly as it does when fitted
+        # alone: with per-row weights (swapped with their rows), with rows
+        # that are not finite (which leave before iterating), with rows that
+        # all leave together, with the last slot leaving first, and at an
+        # exit on MAX_ITERATIONS
         trace = self._noisy_trace(seed=1)
         inside = (trace.t_points >= FIT_WINDOW[0]) & (trace.t_points <= FIT_WINDOW[1])
         t, y, u = trace.t_points[inside], trace.sigma[inside], trace.u_sigma[inside]
         n = 200
         pert = y + np.random.default_rng(11).normal(size=(n, len(t))) * u
+        if case == "per_row":
+            u = u * np.random.default_rng(12).uniform(0.5, 2.0, size=(n, 1))
+        elif case == "non_finite":
+            pert[[0, 77, n - 1], [3, 0, -1]] = [np.nan, np.inf, -np.inf]
+        elif case == "leave_together":
+            pert = np.repeat(pert[:1], 5, axis=0)
+        elif case == "last_slot_first":
+            alone = _fit_rows(t, pert, u)[2]
+            pert = pert[[*np.flatnonzero(alone == alone.max())[:3], np.argmin(alone)]]
+        elif case == "max_iterations":
+            monkeypatch.setattr(analysis, "MAX_ITERATIONS", 6)
         p, cost, iters, ok = _fit_rows(t, pert, u)[:4]
-        assert iters.min() < iters.max()
-        for i in range(n):
-            p1, cost1, iters1, ok1 = _fit_rows(t, pert[i:i + 1], u)[:4]
-            assert (p1[0] == p[i]).all()
-            assert cost1[0] == cost[i]
-            assert iters1[0] == iters[i]
-            assert ok1[0] == ok[i]
+        if case == "leave_together":
+            assert (iters == iters[0]).all()
+        elif case == "last_slot_first":
+            assert iters[-1] < iters[:-1].min()
+        else:
+            assert iters.min() < iters.max()
+        if case == "max_iterations":
+            assert ok.any() and not ok.all()
+        for i in range(len(pert)):
+            row = _fit_rows(t, pert[i:i + 1], u if u.ndim == 1 else u[i:i + 1])[:4]
+            for one, batch in zip(row, (p, cost, iters, ok)):
+                assert np.array_equal(one[0], batch[i], equal_nan=True)
 
     def test_refit_estimates_are_the_1d_estimates_of_each_row(self, monkeypatch):
         # the steady-state estimate of every refit, its slack boxes and its

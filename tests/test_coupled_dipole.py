@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -614,6 +615,26 @@ class TestLanczosReadout:
         again = realization_spectrum(cfg, seed, mode=mode, suppression=max(suppressions))
         assert np.array_equal(again.lambda0, spectrum.lambda0)
         assert np.array_equal(again.weights, spectrum.weights)
+
+    def test_basis_grows_without_a_second_copy(self):
+        # N = 700 in block rows of 512 and 188 takes more than 32 nodes, so
+        # the basis grows from 32 to 64 rows.  Beyond its input blocks the
+        # rule holds that basis, a few vectors of N and the readout's
+        # (T_POINTS, nodes) arrays, never the old and the grown basis at once
+        n = 700
+        side = box_side_for_sigma_ss(2.0, n)
+        realization = sample_positions(EnsembleConfig(atom_count=n, box=(side, side, side)), 4)
+        blocks = _h0_block_rows(realization, "vectorial", H0_BLOCK_ROWS)
+        drive = np.exp(1j * coupled_dipole.K_A * realization.positions[:, 2])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nodes, _ = coupled_dipole._gauss_rule(blocks, drive)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert 32 < len(nodes) <= 64
+        assert peak <= 16 * n * (64 + 8) + 4 * 8 * len(T_POINTS) * len(nodes)
 
     @pytest.mark.parametrize("mode", ["vectorial", "scalar"])
     def test_small_dense_geometry_reaches_the_cap_and_is_exact(self, mode):
